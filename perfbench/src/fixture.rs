@@ -40,9 +40,6 @@ pub struct Spec {
     pub serve_version: usize,
     /// Share of the run spent serving without updates; the rest walks.
     pub serve_share: f64,
-    /// Whether the walks run under the workload's load, or on fleets
-    /// that serve nothing.
-    pub walk_under_load: bool,
 }
 
 /// Both workloads serve the same fixture: every document resident in
@@ -50,13 +47,12 @@ pub struct Spec {
 /// edge hand-offs do all the work.
 pub const SPECS: [Spec; 2] = [
     // About a sixth of the fleet's capacity on v4, the heaviest guest
-    // before logging. Its walks run on idle fleets: the update cost alone.
+    // before logging. Its walks run under the same rate on v1 fleets.
     Spec {
         name: "hot_open",
         rate: 20_000.0,
         serve_version: 3,
         serve_share: 0.6,
-        walk_under_load: false,
     },
     // Light load while fleets walk the whole patch stream forward and
     // back: updates and traffic share the fleet.
@@ -65,7 +61,6 @@ pub const SPECS: [Spec; 2] = [
         rate: 5_000.0,
         serve_version: 0,
         serve_share: 0.0,
-        walk_under_load: true,
     },
 ];
 

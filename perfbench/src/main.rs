@@ -231,10 +231,10 @@ impl Runner<'_> {
         Ok(out)
     }
 
-    /// Walks the workload's number of fresh fleets, spread evenly up to
+    /// Walks `WALKS` fresh fleets under load, spread evenly up to
     /// `deadline`, and more if pauses are still short of `MIN_PAUSES`.
-    /// Under load, each next fleet is booted and warmed while the current
-    /// one still serves, then swapped in.
+    /// Each next fleet is booted and warmed while the current one still
+    /// serves, then swapped in.
     fn walk(
         &mut self,
         first: Fleet,
@@ -245,14 +245,8 @@ impl Runner<'_> {
         let mut cur = first;
         let mut before = Counters::read(&cur);
         let (alloc0, start) = (alloc::bytes(), Instant::now());
-        let loaded = self.fx.spec.walk_under_load;
-        let mut id = if loaded {
-            self.hand_over(&cur, Phase::Walk)?
-        } else {
-            0
-        };
-        let walks = WALKS;
-        let every = deadline.saturating_duration_since(start) / walks as u32;
+        let mut id = self.hand_over(&cur, Phase::Walk)?;
+        let every = deadline.saturating_duration_since(start) / WALKS as u32;
         let mut host = proc::host_ticks()?;
         for i in 1.. {
             walk::walk(&cur, patches, &mut self.walks, &mut self.spans);
@@ -261,10 +255,10 @@ impl Runner<'_> {
                 rec.steal = (now.0 - host.0) as f64 / (now.1 - host.1).max(1) as f64;
             }
             host = now;
-            if i >= walks && self.walks.pause_count() >= MIN_PAUSES {
+            if i >= WALKS && self.walks.pause_count() >= MIN_PAUSES {
                 break;
             }
-            if i > 10 * walks {
+            if i > 10 * WALKS {
                 return Err("walks produce no pauses".into());
             }
             std::thread::sleep(
@@ -272,22 +266,15 @@ impl Runner<'_> {
             );
             let next = self.boot_warm(0)?;
             let next_before = Counters::read(&next);
-            let next_id = if loaded {
-                let next_id = self.hand_over(&next, Phase::Walk)?;
-                self.await_retired(id)?;
-                next_id
-            } else {
-                0
-            };
+            let next_id = self.hand_over(&next, Phase::Walk)?;
+            self.await_retired(id)?;
             out.counters.add_since(Counters::read(&cur), before);
             cur.shutdown().map_err(|e| format!("shutdown: {e}"))?;
             (cur, before, id) = (next, next_before, next_id);
         }
         std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-        if loaded {
-            self.slot.set(None);
-            self.await_retired(id)?;
-        }
+        self.slot.set(None);
+        self.await_retired(id)?;
         out.alloc_bytes = alloc::bytes() - alloc0;
         out.counters.add_since(Counters::read(&cur), before);
         cur.shutdown().map_err(|e| format!("shutdown: {e}"))?;
