@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use dsu_bench::measure::{overhead_percent, row, rule, time_interleaved};
-use flashed::{versions, EventLoopConfig, ServeMode, Server, ServerShared, SimFs, Workload};
+use flashed::{versions, EventLoopConfig, ServeMode, Server, ServerConfig, SimFs, Workload};
 use vm::LinkMode;
 
 const REQUESTS: usize = 1500;
@@ -99,14 +99,11 @@ fn blocking_vs_amped() -> Result<(), Box<dyn std::error::Error>> {
 
     let run = |mode: ServeMode| -> Result<Duration, String> {
         let mut wl = Workload::new(fs.paths(), 1.0, 17);
-        let mut server = Server::start_full(
-            LinkMode::Updateable,
-            mode,
+        let mut server = Server::start_cfg(
+            &ServerConfig::new(LinkMode::Updateable).serve_mode(mode),
             &versions::v1(),
             "v1",
             fs.clone(),
-            ServerShared::new(),
-            None,
         )
         .map_err(|e| e.to_string())?;
         let t0 = Instant::now();

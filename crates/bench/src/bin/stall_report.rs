@@ -27,8 +27,8 @@ use std::time::Duration;
 use dsu_obs::journal::validate_lifecycle;
 use dsu_obs::{stall_report, to_chrome_trace, validate_spans, Stage};
 use flashed::{
-    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, PauseSlo, ServeMode,
-    ServerTelemetry, SimFs, Workload,
+    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, OrchestratorReport, PauseSlo,
+    RolloutPlan, ServeMode, ServerTelemetry, SimFs, Workload,
 };
 
 const WORKERS: usize = 4;
@@ -65,12 +65,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Open loop: the whole burst is queued before the rollout starts, so
     // the in-flight window stays saturated through every pause.
     fleet.push_requests(wl.batch(requests));
-    let (report, card) = fleet
-        .rollout_guarded(
+    let OrchestratorReport {
+        fleet_report: report,
+        card,
+        ..
+    } = fleet
+        .rollout_plan(
             &flashed::patch_stream()?[0].patch,
-            0,
-            PauseSlo::p99(Duration::from_millis(500)),
-            BreachAction::Hold,
+            &RolloutPlan::guarded(
+                0,
+                PauseSlo::p99(Duration::from_millis(500)),
+                BreachAction::Hold,
+            ),
         )
         .map_err(|e| e.to_string())?;
     assert_eq!(report.applied.len(), WORKERS, "every worker applied");

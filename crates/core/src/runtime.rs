@@ -633,14 +633,20 @@ impl Updater {
         let mut applied = 0;
         let trace = self.trace.lock().expect("poisoned").clone();
         loop {
-            let queued = self.pending.lock().expect("poisoned").pop_front();
-            let Some(queued) = queued else { break };
-            // The op is out of the queue but its outcome is not published
+            // The op leaves the queue but its outcome is not published
             // yet: keep it counted in `pending_count` until the end of
             // this iteration, after the report or failure lands. The
-            // guard also covers the panic path — the count drops during
-            // unwind, after the `Aborted` lifecycle is recorded.
-            let _in_flight = InFlightGuard::arm(&self.in_flight);
+            // guard is armed before the queue lock drops, so no reader
+            // sees the op in neither place. It also covers the panic
+            // path — the count drops during unwind, after the `Aborted`
+            // lifecycle is recorded.
+            let (queued, _in_flight) = {
+                let mut pending = self.pending.lock().expect("poisoned");
+                let Some(queued) = pending.pop_front() else {
+                    break;
+                };
+                (queued, InFlightGuard::arm(&self.in_flight))
+            };
             let op_began = Instant::now();
             let mut phase_log = span_ctx.as_ref().map(|_| PhaseSpanLog::default());
             let outcome =

@@ -1,6 +1,9 @@
 //! Updater failure paths: strict aborts, non-strict drains, and the
 //! pause log that instruments both.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use dsu_core::{compile_patch, interface_of, Manifest, PatchGen, RunError, Updater};
 use vm::{LinkMode, Process, Value};
 
@@ -253,4 +256,46 @@ fn updater_state_survives_a_save_load_round_trip() {
     assert!(up2
         .load_state(&mut p, "dsu-updater-state 1\nring 5\nxx")
         .is_err());
+}
+
+/// `pending_count` reads 0 only once every submitted op's outcome is
+/// published: a poller on another thread that sees 0 must also see the
+/// report or failure of every op enqueued before its read.
+#[test]
+fn pending_count_zero_means_every_outcome_is_visible() {
+    const CYCLES: usize = 20_000;
+    let mut p = boot(SPIN);
+    let mut up = Updater::new();
+    up.strict = false;
+    let remote = up.remote(&p);
+    let bad = bad_patch(&p);
+    let submitted = Arc::new(AtomicUsize::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+    let poller = {
+        let (submitted, done) = (Arc::clone(&submitted), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut early_zeros = 0usize;
+            while !done.load(Ordering::SeqCst) {
+                let want = submitted.load(Ordering::SeqCst);
+                if remote.pending_count() == 0
+                    && remote.applied_count() + remote.failure_count() < want
+                {
+                    early_zeros += 1;
+                }
+            }
+            early_zeros
+        })
+    };
+    for i in 1..=CYCLES {
+        up.enqueue(&mut p, bad.clone());
+        submitted.store(i, Ordering::SeqCst);
+        up.apply_pending(&mut p).unwrap();
+    }
+    done.store(true, Ordering::SeqCst);
+    let early_zeros = poller.join().unwrap();
+    assert_eq!(
+        early_zeros, 0,
+        "pending_count read 0 while an op's outcome was unpublished"
+    );
+    assert_eq!(up.failures().len(), CYCLES);
 }

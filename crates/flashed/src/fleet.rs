@@ -5,20 +5,22 @@
 //! owning its *own* [`vm::Process`] (guest state is thread-local; nothing
 //! about the VM becomes concurrent), all pulling from one shared request
 //! queue ([`ServerShared`]). A coordinator thread broadcasts a compiled
-//! [`Patch`] to every worker through [`dsu_core::UpdaterRemote`] handles
-//! under one of two rollout policies:
+//! [`Patch`] to every worker through [`dsu_core::UpdaterRemote`] handles.
+//! [`Fleet::rollout_plan`] drives one [`RolloutPlan`] across the fleet:
 //!
-//! * [`RolloutPolicy::Simultaneous`] — every worker pauses at its next
+//! * [`RolloutPlan::simultaneous`] — every worker pauses at its next
 //!   update point, a barrier lines the whole fleet up, all workers apply
 //!   at once, all resume. One fleet-wide service gap; no version skew.
-//! * [`RolloutPolicy::Rolling`] — workers apply one at a time; while one
+//! * [`RolloutPlan::rolling`] — workers apply one at a time; while one
 //!   pauses the rest keep serving, so the fleet never stops completing
 //!   requests. Transient version skew; no fleet-wide gap.
-//! * [`RolloutPolicy::Guarded`] — a canary worker updates first and a
+//! * [`RolloutPlan::guarded`] — a canary worker updates first and a
 //!   [`crate::guard::HealthGate`] judges every step (pause-SLO budget,
 //!   error counters, completion liveness) before the patch advances; a
 //!   breach holds the line or rolls every updated worker back, and the
 //!   whole run leaves a [`crate::guard::RolloutReportCard`] behind.
+//! * [`RolloutPlan::staged`] — cohorts of 1 worker, 25%, then 100%,
+//!   gated like a guarded plan.
 //!
 //! Workers run their updaters non-strict: a worker whose apply is rejected
 //! keeps serving its old version and the failure lands in the rollout's
@@ -38,13 +40,12 @@ use dsu_obs::trace::{Span, SpanKind};
 use dsu_obs::{Journal, Tracer};
 use vm::LinkMode;
 
-use crate::edge::{AcceptorHandle, Edge, EdgeConfig, Inbox};
+use crate::edge::{AcceptorHandle, Edge, EdgeConfig};
 use crate::fault::{crash_if_armed, CrashPoint, FaultPlan, InjectedCrash};
 use crate::fs::SimFs;
-use crate::guard::{BreachAction, PauseSlo, RolloutReportCard};
 use crate::rollout::{Orchestrator, OrchestratorReport, RolloutPlan};
-use crate::server::{Completion, ServeMode, Server, ServerShared};
-use crate::telemetry::{FleetTelemetry, ServerTelemetry};
+use crate::server::{Completion, ServeMode, Server, ServerConfig, ServerShared};
+use crate::telemetry::FleetTelemetry;
 
 /// Per-worker deviations from the fleet-wide configuration — a fleet
 /// whose workers sit on heterogeneous "hardware" (different device
@@ -332,10 +333,6 @@ pub enum FleetError {
         /// Workers still on the old version (stalled or never reached).
         remaining: Vec<usize>,
     },
-    /// A [`RolloutPolicy::Guarded`] value reached the unguarded driver —
-    /// an internal dispatch bug, surfaced as a typed error instead of a
-    /// panic inside a live fleet.
-    MisroutedPolicy,
     /// A staged rollout pushed the cross-fleet version skew (distinct
     /// live versions minus one) past the orchestrator's configured bound.
     SkewExceeded {
@@ -378,9 +375,6 @@ impl fmt::Display for FleetError {
                 f,
                 "rolling rollout stalled mid-fleet: {updated:?} updated, {remaining:?} remaining"
             ),
-            FleetError::MisroutedPolicy => {
-                write!(f, "guarded policy routed to the unguarded rollout driver")
-            }
             FleetError::SkewExceeded { observed, bound } => {
                 write!(
                     f,
@@ -392,31 +386,6 @@ impl fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
-
-/// How a patch is rolled out across the fleet.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RolloutPolicy {
-    /// Pause every worker at its next update point, apply everywhere at
-    /// once (barrier rendezvous), resume everywhere.
-    Simultaneous,
-    /// Apply to one worker at a time; the rest keep serving throughout.
-    Rolling,
-    /// Self-healing rolling rollout: update the `canary` worker first,
-    /// judge its post-step health (pause SLO, error counters, completion
-    /// liveness) through a [`HealthGate`], then advance worker by worker
-    /// re-checking after every step; on a breach, execute `on_breach` —
-    /// hold, or roll every already-updated worker back. Use
-    /// [`Fleet::rollout_guarded`] to also get the
-    /// [`RolloutReportCard`].
-    Guarded {
-        /// The worker updated (and judged) first.
-        canary: usize,
-        /// The update-pause budget each step is held against.
-        pause_slo: PauseSlo,
-        /// What to do when a step breaches.
-        on_breach: BreachAction,
-    },
-}
 
 /// How long an idle worker waits for control traffic before rechecking
 /// the queue. Bounds both shutdown latency and the time for an idle
@@ -665,64 +634,22 @@ impl std::fmt::Debug for Fleet {
 }
 
 impl Fleet {
-    /// Boots `n` workers, each compiling `src` and serving from one shared
-    /// queue. Every worker builds its server inside its own thread (guest
-    /// processes are thread-local by construction).
+    /// Boots a fleet from a [`FleetConfig`]: `cfg.workers` workers, each
+    /// compiling `src` inside its own thread (guest processes are
+    /// thread-local by construction) and serving in the configured serve
+    /// mode (blocking or AMPED event loop), with telemetry and per-worker
+    /// overrides for device latency, cache size and concurrency window.
     ///
     /// # Errors
     ///
     /// Returns the first worker's boot error; already-started workers are
     /// shut down.
-    pub fn start(
-        n: usize,
-        mode: LinkMode,
-        src: &str,
-        version: &str,
-        fs: &SimFs,
-    ) -> Result<Fleet, FleetError> {
-        Fleet::boot(&FleetConfig::new(n).link_mode(mode), src, version, fs)
-    }
-
-    /// Like [`Fleet::start`], with telemetry: a fleet-wide lifecycle
-    /// journal (events worker-tagged), per-worker labelled metrics
-    /// registries, and the coordinator's version-skew gauge — scrape them
-    /// through [`Fleet::telemetry`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::start`].
-    pub fn start_telemetry(
-        n: usize,
-        mode: LinkMode,
-        src: &str,
-        version: &str,
-        fs: &SimFs,
-    ) -> Result<Fleet, FleetError> {
-        Fleet::boot(
-            &FleetConfig::new(n).link_mode(mode).with_telemetry(),
-            src,
-            version,
-            fs,
-        )
-    }
-
-    /// Boots a fleet from a full [`FleetConfig`]: serve mode (blocking or
-    /// AMPED event loop), telemetry, and per-worker overrides for device
-    /// latency, cache size and concurrency window.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::start`].
     pub fn start_cfg(
         cfg: &FleetConfig,
         src: &str,
         version: &str,
         fs: &SimFs,
     ) -> Result<Fleet, FleetError> {
-        Fleet::boot(cfg, src, version, fs)
-    }
-
-    fn boot(cfg: &FleetConfig, src: &str, version: &str, fs: &SimFs) -> Result<Fleet, FleetError> {
         let n = cfg.workers;
         assert!(n > 0, "a fleet needs at least one worker");
         let telemetry = cfg.telemetry.then(|| {
@@ -840,7 +767,7 @@ impl Fleet {
     }
 
     /// The fleet's telemetry (journal, registries, skew gauge), when
-    /// started through [`Fleet::start_telemetry`].
+    /// booted with [`FleetConfig::with_telemetry`].
     pub fn telemetry(&self) -> Option<&FleetTelemetry> {
         self.telemetry.as_deref()
     }
@@ -984,63 +911,22 @@ impl Fleet {
         }
     }
 
-    /// Rolls `patch` out to every worker under `policy`, blocking until
-    /// each worker has either applied it or had it rejected. Serving
-    /// continues throughout (for [`RolloutPolicy::Rolling`], completions
-    /// never stop fleet-wide; for [`RolloutPolicy::Simultaneous`], the
-    /// whole fleet pauses once, together). For
-    /// [`RolloutPolicy::Guarded`] this delegates to
-    /// [`Fleet::rollout_guarded`] and drops the report card.
+    /// Rolls `patch` out to every worker through `plan`, blocking until
+    /// each worker has either applied it or had it rejected — a one-shard
+    /// [`Orchestrator`] run with no skew bound. Serving continues
+    /// throughout (under [`RolloutPlan::rolling`], completions never stop
+    /// fleet-wide; under [`RolloutPlan::simultaneous`], the whole fleet
+    /// pauses once, together). The report carries the
+    /// [`FleetUpdateReport`] and the run's report card.
     ///
     /// # Errors
     ///
-    /// Errors if a worker fails to reach an update boundary within the
-    /// rollout deadline (e.g. its thread died). A rolling rollout that
-    /// stalls after at least one worker updated returns
-    /// [`FleetError::PartialRollout`] (the stalled worker's pending patch
-    /// is withdrawn first, so it cannot land later).
-    pub fn rollout(
-        &self,
-        patch: &Patch,
-        policy: RolloutPolicy,
-    ) -> Result<FleetUpdateReport, FleetError> {
-        match policy {
-            RolloutPolicy::Guarded {
-                canary,
-                pause_slo,
-                on_breach,
-            } => self
-                .rollout_guarded(patch, canary, pause_slo, on_breach)
-                .map(|(report, _)| report),
-            policy => self.rollout_unguarded(patch, policy),
-        }
-    }
-
-    /// The [`RolloutPolicy::Simultaneous`] / [`RolloutPolicy::Rolling`]
-    /// entry point: each policy is a degenerate [`RolloutPlan`] (one
-    /// all-worker barrier cohort; one cohort per worker), driven by the
-    /// [`crate::rollout`] orchestrator.
-    fn rollout_unguarded(
-        &self,
-        patch: &Patch,
-        policy: RolloutPolicy,
-    ) -> Result<FleetUpdateReport, FleetError> {
-        let plan = match policy {
-            RolloutPolicy::Simultaneous => RolloutPlan::simultaneous(),
-            RolloutPolicy::Rolling => RolloutPlan::rolling(),
-            // A guarded policy here is a dispatch bug in the caller; a
-            // typed error beats a panic inside a live fleet.
-            RolloutPolicy::Guarded { .. } => return Err(FleetError::MisroutedPolicy),
-        };
-        self.rollout_plan(patch, &plan).map(|r| r.fleet_report)
-    }
-
-    /// Drives this fleet alone through an arbitrary [`RolloutPlan`] — a
-    /// one-shard [`Orchestrator`] run with no skew bound.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::rollout`].
+    /// As [`Orchestrator::rollout`]: an ungated rollout errors if a worker
+    /// fails to reach an update boundary within the rollout deadline (e.g.
+    /// its thread died), and one that stalls after at least one worker
+    /// updated returns [`FleetError::PartialRollout`] (the stalled
+    /// worker's pending patch is withdrawn first, so it cannot land
+    /// later). Gated forward stalls are health breaches, not errors.
     pub fn rollout_plan(
         &self,
         patch: &Patch,
@@ -1134,31 +1020,6 @@ impl Fleet {
             report.pauses.push(pause);
         }
         report
-    }
-
-    /// The [`RolloutPolicy::Guarded`] driver: canary first, then worker
-    /// by worker (a guarded [`RolloutPlan`] of singleton cohorts), each
-    /// step judged by a [`crate::guard::HealthGate`] before the next
-    /// begins. On a breach the rollout holds or rolls every updated
-    /// worker back per `on_breach`. Returns the fleet report plus the
-    /// run's [`RolloutReportCard`].
-    ///
-    /// # Errors
-    ///
-    /// Errors only when a *rollback* stalls (a worker that must undo
-    /// cannot be reached) — forward stalls are health breaches, handled
-    /// by the gate, not errors.
-    pub fn rollout_guarded(
-        &self,
-        patch: &Patch,
-        canary: usize,
-        pause_slo: PauseSlo,
-        on_breach: BreachAction,
-    ) -> Result<(FleetUpdateReport, RolloutReportCard), FleetError> {
-        assert!(canary < self.state.workers.len(), "canary out of range");
-        let plan = RolloutPlan::guarded(canary, pause_slo, on_breach);
-        self.rollout_plan(patch, &plan)
-            .map(|r| (r.fleet_report, r.card))
     }
 
     /// Per-worker device-read-error counts (zeros untelemetered).
@@ -1278,16 +1139,12 @@ impl Fleet {
 /// Everything one worker thread needs, bundled (the spawn site builds it
 /// from the [`RespawnSpec`]).
 struct WorkerCtx {
-    mode: LinkMode,
-    serve_mode: ServeMode,
+    server: ServerConfig,
     src: String,
     version: String,
     fs: SimFs,
     fault: FaultPlan,
     vm_profile: bool,
-    shared: ServerShared,
-    telemetry: Option<ServerTelemetry>,
-    inbox: Option<Arc<Inbox>>,
     /// Persisted crash-durable state to replay at boot (the respawn
     /// path); `None` boots fresh.
     restore: Option<String>,
@@ -1308,16 +1165,18 @@ fn spawn_worker(
     let (ctrl_tx, ctrl_rx) = mpsc::channel();
     let (boot_tx, boot_rx) = mpsc::channel();
     let ctx = WorkerCtx {
-        mode: spec.mode,
-        serve_mode: spec.serve_modes[id],
+        server: ServerConfig {
+            link_mode: spec.mode,
+            serve_mode: spec.serve_modes[id],
+            shared: spec.shared.clone(),
+            telemetry: spec.telemetry.as_ref().map(|t| t.worker(id).clone()),
+            inbox: spec.edge.as_ref().map(|e| Arc::clone(e.inbox(id))),
+        },
         src: spec.src.clone(),
         version: spec.version.clone(),
         fs: spec.fs[id].clone(),
         fault,
         vm_profile: spec.vm_profile,
-        shared: spec.shared.clone(),
-        telemetry: spec.telemetry.as_ref().map(|t| t.worker(id).clone()),
-        inbox: spec.edge.as_ref().map(|e| Arc::clone(e.inbox(id))),
         restore,
         heartbeat: Arc::clone(&heartbeat),
         state_slot: Arc::clone(&state_slot),
@@ -1531,16 +1390,7 @@ fn worker_main(
     ctrl: mpsc::Receiver<Ctrl>,
     boot_tx: mpsc::Sender<Result<BootInfo, String>>,
 ) -> Result<i64, String> {
-    let mut server = match Server::start_routed(
-        ctx.mode,
-        ctx.serve_mode,
-        &ctx.src,
-        &ctx.version,
-        ctx.fs,
-        ctx.shared,
-        ctx.telemetry,
-        ctx.inbox,
-    ) {
+    let mut server = match Server::start_cfg(&ctx.server, &ctx.src, &ctx.version, ctx.fs) {
         Ok(s) => s,
         Err(e) => {
             let _ = boot_tx.send(Err(e.to_string()));

@@ -1,6 +1,6 @@
 //! Guarded rollouts: pause-budget SLOs, health gates, and report cards.
 //!
-//! A guarded rollout ([`crate::RolloutPolicy::Guarded`]) updates one
+//! A guarded rollout ([`crate::RolloutPlan::guarded`]) updates one
 //! *canary* worker first and lets a [`HealthGate`] judge it before the
 //! patch touches the rest of the fleet: the canary's update-pause tail is
 //! held against a [`PauseSlo`] budget, its failure and device-read-error

@@ -59,8 +59,7 @@ pub use edge::{
 };
 pub use fault::{CrashPoint, FaultPlan, InjectedCrash};
 pub use fleet::{
-    Fleet, FleetConfig, FleetError, RestartReport, RolloutPolicy, SupervisorConfig, WorkerFailure,
-    WorkerOverride,
+    Fleet, FleetConfig, FleetError, RestartReport, SupervisorConfig, WorkerFailure, WorkerOverride,
 };
 pub use fs::{AsyncFs, BufferCache, ReadCompletion, ReadTicket, SimFs};
 pub use guard::{
@@ -73,7 +72,7 @@ pub use rng::Rng;
 pub use rollout::{CohortReport, CohortSpec, Orchestrator, OrchestratorReport, RolloutPlan};
 pub use server::{
     latency_stats, BootError, Completion, EventLoopConfig, LatencyStats, ServeMode, Server,
-    ServerShared,
+    ServerConfig, ServerShared,
 };
 pub use telemetry::{FleetTelemetry, ServerTelemetry};
 pub use workload::{Workload, Zipf};

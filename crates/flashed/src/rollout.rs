@@ -6,17 +6,18 @@
 //! (cumulative targets — e.g. 1 worker, then 25%, then 100%), an
 //! optional [`PauseSlo`] health gate judging every worker after its
 //! cohort applies, a soak window between cohorts, and a
-//! [`BreachAction`] for when a gate trips. Every classic policy is a
-//! degenerate plan:
+//! [`BreachAction`] for when a gate trips. The plan constructors:
 //!
-//! * [`RolloutPolicy::Simultaneous`](crate::RolloutPolicy) — one
-//!   all-worker cohort, barrier-coordinated, no gate;
-//! * [`RolloutPolicy::Rolling`](crate::RolloutPolicy) — one cohort per
-//!   worker, no gate;
-//! * [`RolloutPolicy::Guarded`](crate::RolloutPolicy) — one cohort per
-//!   worker, canary first, gated.
+//! * [`RolloutPlan::simultaneous`] — one all-worker cohort,
+//!   barrier-coordinated, no gate;
+//! * [`RolloutPlan::rolling`] — one cohort per worker, no gate;
+//! * [`RolloutPlan::guarded`] — one cohort per worker, canary first,
+//!   gated;
+//! * [`RolloutPlan::staged`] — cohorts of 1 worker, 25%, then 100%,
+//!   canary first, gated.
 //!
-//! An [`Orchestrator`] drives one plan across *several* shard
+//! [`Fleet::rollout_plan`] drives a plan across one fleet; an
+//! [`Orchestrator`] drives one plan across *several* shard
 //! [`Fleet`]s at once: cohorts are resolved over the global worker set,
 //! cross-fleet cohort members rendezvous on one shared barrier, and a
 //! configurable **version-skew bound** caps how many distinct versions
@@ -99,8 +100,8 @@ pub struct RolloutPlan {
 }
 
 impl RolloutPlan {
-    /// One all-worker cohort, barrier-coordinated, ungated — the
-    /// [`RolloutPolicy::Simultaneous`](crate::RolloutPolicy) shape.
+    /// One all-worker cohort, barrier-coordinated, ungated: every worker
+    /// pauses at once, no version skew.
     pub fn simultaneous() -> RolloutPlan {
         RolloutPlan {
             canary: 0,
@@ -113,8 +114,8 @@ impl RolloutPlan {
         }
     }
 
-    /// One cohort per worker, ungated — the
-    /// [`RolloutPolicy::Rolling`](crate::RolloutPolicy) shape.
+    /// One cohort per worker, ungated: the rest of the fleet keeps
+    /// serving while each worker pauses.
     pub fn rolling() -> RolloutPlan {
         RolloutPlan {
             canary: 0,
@@ -127,8 +128,7 @@ impl RolloutPlan {
         }
     }
 
-    /// One cohort per worker, canary first, every step gated — the
-    /// [`RolloutPolicy::Guarded`](crate::RolloutPolicy) shape.
+    /// One cohort per worker, canary first, every step gated.
     pub fn guarded(canary: usize, slo: PauseSlo, on_breach: BreachAction) -> RolloutPlan {
         RolloutPlan {
             canary,
@@ -185,12 +185,13 @@ impl RolloutPlan {
     /// cohorts of global worker ids: canary first, then id order, each
     /// spec claiming workers up to its cumulative target. Cohorts that
     /// claim nothing are dropped; workers beyond the last target are
-    /// never updated (the plan's choice).
+    /// never updated (the plan's choice). `canary` must be below `n`
+    /// (checked by [`Orchestrator::rollout_span`]).
     pub fn resolve(&self, n: usize) -> Vec<Vec<usize>> {
         if n == 0 {
             return Vec::new();
         }
-        let canary = self.canary.min(n - 1);
+        let canary = self.canary;
         let order: Vec<usize> = std::iter::once(canary)
             .chain((0..n).filter(|&i| i != canary))
             .collect();
@@ -510,6 +511,11 @@ impl<'a> Orchestrator<'a> {
     /// # Errors
     ///
     /// As [`Orchestrator::rollout`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fleets have no worker, or when `plan.canary` does
+    /// not name one of them.
     pub fn rollout_span(
         &self,
         patch: &Patch,
@@ -519,6 +525,11 @@ impl<'a> Orchestrator<'a> {
     ) -> Result<OrchestratorReport, FleetError> {
         let n = self.worker_count();
         assert!(n > 0, "an orchestrator needs at least one worker");
+        assert!(
+            plan.canary < n,
+            "canary {} out of range ({n} workers)",
+            plan.canary
+        );
         let cohorts = plan.resolve(n);
         let end = match count {
             Some(c) => (start + c).min(cohorts.len()),
@@ -591,7 +602,7 @@ impl<'a> Orchestrator<'a> {
 
         let card = RolloutReportCard {
             transition: (patch.from_version.clone(), patch.to_version.clone()),
-            canary: plan.canary.min(n - 1),
+            canary: plan.canary,
             slo: plan.gate.unwrap_or(PauseSlo {
                 quantile: 1.0,
                 max: Duration::MAX,

@@ -401,6 +401,67 @@ fn record_request_spans(tracer: &dsu_obs::Tracer, worker: Option<usize>, rec: &P
     tracer.record_many(spans);
 }
 
+/// Server boot configuration for [`Server::start_cfg`]. Built fluently,
+/// like [`FleetConfig`](crate::FleetConfig):
+///
+/// ```
+/// use flashed::{EventLoopConfig, ServeMode, ServerConfig, ServerTelemetry};
+/// use vm::LinkMode;
+/// let cfg = ServerConfig::new(LinkMode::Updateable)
+///     .serve_mode(ServeMode::EventLoop(EventLoopConfig::default()))
+///     .with_telemetry(ServerTelemetry::new());
+/// ```
+#[derive(Clone)]
+pub struct ServerConfig {
+    /// Link mode the guest boots in.
+    pub link_mode: LinkMode,
+    /// How the server drives its guest `serve` loop.
+    /// [`ServeMode::EventLoop`] boots the AMPED machinery — helper pool,
+    /// buffer cache, drain hook — around the same guest.
+    pub serve_mode: ServeMode,
+    /// The queue and completion log served from. Several servers handed
+    /// clones of the same [`ServerShared`] pull from one queue and append
+    /// to one completion log.
+    pub shared: ServerShared,
+    /// Telemetry: when set, the journal is attached to the updater (every
+    /// patch lifecycle is recorded), and the request-path host calls
+    /// record pull/response counters, queue depth and service-time
+    /// observations as they happen.
+    pub telemetry: Option<ServerTelemetry>,
+    /// A routed edge inbox pulled from instead of the shared ingress
+    /// queue. The worker's `next_request` path (and the event loop's
+    /// admission path) drains the inbox exclusively; completion
+    /// timestamps stay on the shared clock so routed and shared-queue
+    /// completion streams merge.
+    pub inbox: Option<Arc<Inbox>>,
+}
+
+impl ServerConfig {
+    /// A blocking, untelemetered server in link mode `mode`, with a
+    /// private queue and completion log.
+    pub fn new(mode: LinkMode) -> ServerConfig {
+        ServerConfig {
+            link_mode: mode,
+            serve_mode: ServeMode::Blocking,
+            shared: ServerShared::new(),
+            telemetry: None,
+            inbox: None,
+        }
+    }
+
+    /// Sets the serve mode.
+    pub fn serve_mode(mut self, mode: ServeMode) -> ServerConfig {
+        self.serve_mode = mode;
+        self
+    }
+
+    /// Enables telemetry.
+    pub fn with_telemetry(mut self, telemetry: ServerTelemetry) -> ServerConfig {
+        self.telemetry = Some(telemetry);
+        self
+    }
+}
+
 /// A running FlashEd server.
 pub struct Server {
     proc: Process,
@@ -442,93 +503,29 @@ impl Server {
     ///
     /// Returns [`BootError`] when the source does not compile or link.
     pub fn start(mode: LinkMode, src: &str, version: &str, fs: SimFs) -> Result<Server, BootError> {
-        Server::start_shared(mode, src, version, fs, ServerShared::new())
+        Server::start_cfg(&ServerConfig::new(mode), src, version, fs)
     }
 
-    /// Like [`Server::start`], but serving from caller-provided shared
-    /// state — several servers handed clones of the same [`ServerShared`]
-    /// pull from one queue and append to one completion log.
+    /// Compiles `src` and boots it over `fs` as `cfg` describes: link
+    /// mode, serve mode, shared queue state, telemetry and routed edge
+    /// inbox (see [`ServerConfig`]).
     ///
     /// # Errors
     ///
     /// Returns [`BootError`] when the source does not compile or link.
-    pub fn start_shared(
-        mode: LinkMode,
+    pub fn start_cfg(
+        cfg: &ServerConfig,
         src: &str,
         version: &str,
         fs: SimFs,
-        shared: ServerShared,
     ) -> Result<Server, BootError> {
-        Server::start_with(mode, src, version, fs, shared, None)
-    }
-
-    /// Like [`Server::start_shared`], with telemetry: the journal is
-    /// attached to the updater (every patch lifecycle is recorded), and
-    /// the request-path host calls record pull/response counters, queue
-    /// depth and service-time observations as they happen.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BootError`] when the source does not compile or link.
-    pub fn start_with(
-        mode: LinkMode,
-        src: &str,
-        version: &str,
-        fs: SimFs,
-        shared: ServerShared,
-        telemetry: Option<ServerTelemetry>,
-    ) -> Result<Server, BootError> {
-        Server::start_full(
-            mode,
-            ServeMode::Blocking,
-            src,
-            version,
-            fs,
+        let ServerConfig {
+            link_mode: mode,
+            serve_mode,
             shared,
             telemetry,
-        )
-    }
-
-    /// The full constructor: like [`Server::start_with`], plus the serve
-    /// mode. [`ServeMode::EventLoop`] boots the AMPED machinery — helper
-    /// pool, buffer cache, drain hook — around the same guest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BootError`] when the source does not compile or link.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_full(
-        mode: LinkMode,
-        serve_mode: ServeMode,
-        src: &str,
-        version: &str,
-        fs: SimFs,
-        shared: ServerShared,
-        telemetry: Option<ServerTelemetry>,
-    ) -> Result<Server, BootError> {
-        Server::start_routed(mode, serve_mode, src, version, fs, shared, telemetry, None)
-    }
-
-    /// Like [`Server::start_full`], but pulling from a routed edge
-    /// `inbox` instead of the shared ingress queue. The worker's
-    /// `next_request` path (and the event loop's admission path) drains
-    /// the inbox exclusively; completion timestamps stay on the shared
-    /// clock so routed and shared-queue completion streams merge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BootError`] when the source does not compile or link.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_routed(
-        mode: LinkMode,
-        serve_mode: ServeMode,
-        src: &str,
-        version: &str,
-        fs: SimFs,
-        shared: ServerShared,
-        telemetry: Option<ServerTelemetry>,
-        inbox: Option<Arc<Inbox>>,
-    ) -> Result<Server, BootError> {
+            inbox,
+        } = cfg.clone();
         let module = popcorn::compile(src, "flashed", version, &popcorn::Interface::new())
             .map_err(BootError::Compile)?;
         let mut proc = Process::new(mode);

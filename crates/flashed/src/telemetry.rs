@@ -455,32 +455,18 @@ impl FleetTelemetry {
     /// labelled [`ServerTelemetry`] per worker, a coordinator registry
     /// with the version-skew gauge and rollout counter.
     pub fn new(n: usize) -> FleetTelemetry {
-        FleetTelemetry::build(n, 0, Journal::new(), None)
-    }
-
-    /// [`FleetTelemetry::new`] plus one fleet-shared span [`Tracer`]:
-    /// every worker's [`ServerTelemetry`] carries a clone, so request,
-    /// update and rollout spans land in one collector on one epoch —
-    /// the precondition for cross-worker latency attribution.
-    pub fn with_tracing(n: usize) -> FleetTelemetry {
-        FleetTelemetry::build(n, 0, Journal::new(), Some(Tracer::new()))
+        FleetTelemetry::shared(n, 0, Journal::new(), None)
     }
 
     /// Builds telemetry whose events land in a caller-supplied `journal`
     /// (possibly write-ahead-backed, possibly shared with other fleets)
     /// and whose worker tags start at `worker_base` — the constructor an
     /// orchestrator uses to give every shard fleet globally unique worker
-    /// ids in one stream.
+    /// ids in one stream. A `tracer` is shared by every worker's
+    /// [`ServerTelemetry`], so request, update and rollout spans land in
+    /// one collector on one epoch — the precondition for cross-worker
+    /// latency attribution.
     pub fn shared(
-        n: usize,
-        worker_base: usize,
-        journal: Journal,
-        tracer: Option<Tracer>,
-    ) -> FleetTelemetry {
-        FleetTelemetry::build(n, worker_base, journal, tracer)
-    }
-
-    fn build(
         n: usize,
         worker_base: usize,
         journal: Journal,
@@ -727,7 +713,7 @@ mod tests {
 
     #[test]
     fn tracing_fleet_shares_one_tracer() {
-        let t = FleetTelemetry::with_tracing(2);
+        let t = FleetTelemetry::shared(2, 0, Journal::new(), Some(Tracer::new()));
         let tr = t.tracer().expect("tracing on");
         assert!(t.worker(0).tracer().is_some());
         assert!(t.worker(1).tracer().is_some());

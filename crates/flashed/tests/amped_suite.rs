@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use dsu_obs::journal::validate_lifecycle;
 use flashed::{
-    versions, EventLoopConfig, Fleet, FleetConfig, RolloutPolicy, ServeMode, Server, ServerShared,
+    versions, EventLoopConfig, Fleet, FleetConfig, RolloutPlan, ServeMode, Server, ServerConfig,
     ServerTelemetry, SimFs, WorkerOverride, Workload,
 };
 use vm::LinkMode;
@@ -35,14 +35,11 @@ fn event_loop_serves_identical_responses() {
     blocking.push_requests(requests.clone());
     blocking.serve().unwrap();
 
-    let mut amped = Server::start_full(
-        LinkMode::Updateable,
-        event_mode(4, 8),
+    let mut amped = Server::start_cfg(
+        &ServerConfig::new(LinkMode::Updateable).serve_mode(event_mode(4, 8)),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        None,
     )
     .unwrap();
     amped.push_requests(requests);
@@ -91,14 +88,11 @@ fn event_loop_overlaps_reads_and_counts_cache_traffic() {
     blocking.serve().unwrap();
     let blocking_elapsed = t0.elapsed();
 
-    let mut amped = Server::start_full(
-        LinkMode::Updateable,
-        event_mode(16, 16),
+    let mut amped = Server::start_cfg(
+        &ServerConfig::new(LinkMode::Updateable).serve_mode(event_mode(16, 16)),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        None,
     )
     .unwrap();
     amped.push_requests(sweep.clone());
@@ -139,14 +133,13 @@ fn update_mid_loop_drains_parked_requests() {
     let tel = ServerTelemetry::new();
     // One helper: reads complete serially, so when the guest hits its
     // first update point most of the window is still parked.
-    let mut server = Server::start_full(
-        LinkMode::Updateable,
-        event_mode(1, 8),
+    let mut server = Server::start_cfg(
+        &ServerConfig::new(LinkMode::Updateable)
+            .serve_mode(event_mode(1, 8))
+            .with_telemetry(tel.clone()),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        Some(tel.clone()),
     )
     .unwrap();
 
@@ -203,12 +196,14 @@ fn amped_fleet_rollouts_drain_and_reconcile() {
 
     fleet.push_requests(wl.batch(300));
     let rolling = fleet
-        .rollout(&stream[0].patch, RolloutPolicy::Rolling)
-        .unwrap();
+        .rollout_plan(&stream[0].patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     fleet.push_requests(wl.batch(300));
     let simultaneous = fleet
-        .rollout(&stream[1].patch, RolloutPolicy::Simultaneous)
-        .unwrap();
+        .rollout_plan(&stream[1].patch, &RolloutPlan::simultaneous())
+        .unwrap()
+        .fleet_report;
     fleet.drain(600).unwrap();
 
     assert_eq!(rolling.applied.len(), 2);

@@ -3,8 +3,7 @@
 
 use std::time::Duration;
 
-use flashed::{patch_stream, versions, Fleet, RolloutPolicy, SimFs, Workload};
-use vm::LinkMode;
+use flashed::{patch_stream, versions, Fleet, FleetConfig, RolloutPlan, SimFs, Workload};
 
 fn fixture() -> (SimFs, Workload) {
     let fs = SimFs::generate_fixed(16, 256, 7);
@@ -35,7 +34,7 @@ fn fleet_shards_one_queue_across_workers() {
     // long enough that no single worker can drain the queue alone while
     // the others are still inside their idle wait.
     fs.set_read_latency(Duration::from_micros(20));
-    let fleet = Fleet::start(4, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(4), &versions::v1(), "v1", &fs).unwrap();
     assert_eq!(fleet.worker_count(), 4);
     fleet.push_requests(wl.batch(400));
     fleet.drain(400).unwrap();
@@ -56,13 +55,14 @@ fn fleet_shards_one_queue_across_workers() {
 #[test]
 fn simultaneous_rollout_updates_every_worker_at_once() {
     let (fs, mut wl) = fixture();
-    let fleet = Fleet::start(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(3), &versions::v1(), "v1", &fs).unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     fleet.push_requests(wl.batch(300));
     let report = fleet
-        .rollout(&gen.patch, RolloutPolicy::Simultaneous)
-        .unwrap();
+        .rollout_plan(&gen.patch, &RolloutPlan::simultaneous())
+        .unwrap()
+        .fleet_report;
     assert!(report.complete(), "{report}");
     assert_eq!(report.applied.len(), 3);
     assert!(report.failed.is_empty());
@@ -99,11 +99,14 @@ fn rolling_rollout_never_stops_serving() {
     // first worker applies: the rollout must land mid-traffic for the
     // version-skew assertions below to be meaningful.
     let fs = fs.with_read_latency(Duration::from_micros(100));
-    let fleet = Fleet::start(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(3), &versions::v1(), "v1", &fs).unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     fleet.push_requests(wl.batch(600));
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert!(report.complete(), "{report}");
     assert_eq!(report.applied.len(), 3);
     // Rolling serializes the applies: the three pause windows cannot all
@@ -127,7 +130,7 @@ fn rolling_rollout_never_stops_serving() {
 #[test]
 fn one_failing_worker_does_not_stop_the_fleet_rolling_forward() {
     let (fs, mut wl) = fixture();
-    let fleet = Fleet::start(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(3), &versions::v1(), "v1", &fs).unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     // Canary the patch on worker 0 alone; it applies there.
@@ -142,7 +145,10 @@ fn one_failing_worker_does_not_stop_the_fleet_rolling_forward() {
     // Fleet-wide rollout of the same patch: worker 0 (already on v2)
     // rejects it — v2's additions collide with its own bindings — while
     // workers 1 and 2 roll forward.
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert!(!report.complete(), "{report}");
     assert_eq!(report.applied.len(), 2, "{report}");
     assert_eq!(report.failed.len(), 1, "{report}");

@@ -9,8 +9,8 @@ use dsu_obs::Stage;
 use flashed::fault::{trapping_patch, FaultPlan};
 use flashed::{
     parse_response, patch_stream, versions, BreachAction, EventLoopConfig, Fleet, FleetConfig,
-    FleetError, HealthBreach, PauseSlo, RolloutOutcome, RolloutPolicy, ServeMode, Server,
-    ServerShared, ServerTelemetry, SimFs, WorkerOverride, Workload,
+    FleetError, HealthBreach, OrchestratorReport, PauseSlo, RolloutOutcome, RolloutPlan, ServeMode,
+    Server, ServerConfig, ServerTelemetry, SimFs, WorkerOverride, Workload,
 };
 use vm::LinkMode;
 
@@ -36,14 +36,13 @@ fn write_through_invalidation_serves_fresh_bytes() {
     let (fs, _) = fixture();
     let path = fs.paths()[0].clone();
     let tel = ServerTelemetry::new();
-    let mut s = Server::start_full(
-        LinkMode::Updateable,
-        ServeMode::EventLoop(EventLoopConfig::default()),
+    let mut s = Server::start_cfg(
+        &ServerConfig::new(LinkMode::Updateable)
+            .serve_mode(ServeMode::EventLoop(EventLoopConfig::default()))
+            .with_telemetry(tel.clone()),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        Some(tel.clone()),
     )
     .unwrap();
 
@@ -75,16 +74,22 @@ fn write_through_invalidation_serves_fresh_bytes() {
 #[test]
 fn rolling_rollout_survives_a_trapping_transformer_everywhere() {
     let (fs, mut wl) = fixture();
-    let fleet =
-        Fleet::start_telemetry(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(3).with_telemetry(),
+        &versions::v1(),
+        "v1",
+        &fs,
+    )
+    .unwrap();
     fleet.push_requests(wl.batch(150));
 
     // Every worker rejects the patch (its transformer traps mid-apply);
     // apply_patch restores each worker's pre-apply snapshot and the
     // fleet keeps serving v1.
     let report = fleet
-        .rollout(&trapping_patch(), RolloutPolicy::Rolling)
-        .unwrap();
+        .rollout_plan(&trapping_patch(), &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert!(report.applied.is_empty());
     assert_eq!(report.failed.len(), 3);
     for (_, f) in &report.failed {
@@ -138,7 +143,7 @@ fn rolling_rollout_stall_becomes_partial_rollout() {
     fleet.push_requests(wl.batch(60));
 
     let err = fleet
-        .rollout(&forward_patch(), RolloutPolicy::Rolling)
+        .rollout_plan(&forward_patch(), &RolloutPlan::rolling())
         .unwrap_err();
     match &err {
         FleetError::PartialRollout { updated, remaining } => {
@@ -185,14 +190,20 @@ fn guarded_breach_rolls_every_updated_worker_back() {
     fleet.push_requests(wl.batch(150));
 
     let slo = PauseSlo::p99(Duration::from_millis(2));
-    let (report, card) = fleet
-        .rollout_guarded(
+    let OrchestratorReport {
+        fleet_report: report,
+        card,
+        ..
+    } = fleet
+        .rollout_plan(
             &forward_patch(),
-            0,
-            slo,
-            BreachAction::RollBack {
-                inverse: Some(Box::new(inverse_patch())),
-            },
+            &RolloutPlan::guarded(
+                0,
+                slo,
+                BreachAction::RollBack {
+                    inverse: Some(Box::new(inverse_patch())),
+                },
+            ),
         )
         .unwrap();
 
@@ -303,18 +314,19 @@ fn guarded_hold_keeps_the_line_and_read_errors_surface() {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
     fleet.push_requests(wl.batch(80));
 
-    // Through the policy enum: the breach holds the line instead of
+    // A guarded plan that holds: the breach holds the line instead of
     // rolling back, leaving the canary on the new version.
     let report = fleet
-        .rollout(
+        .rollout_plan(
             &forward_patch(),
-            RolloutPolicy::Guarded {
-                canary: 0,
-                pause_slo: PauseSlo::p99(Duration::from_millis(2)),
-                on_breach: BreachAction::Hold,
-            },
+            &RolloutPlan::guarded(
+                0,
+                PauseSlo::p99(Duration::from_millis(2)),
+                BreachAction::Hold,
+            ),
         )
-        .unwrap();
+        .unwrap()
+        .fleet_report;
     assert_eq!(report.applied.len(), 1, "only the canary took the patch");
     fleet.drain(80).unwrap();
     assert_eq!(fleet.live_versions(), vec!["v2", "v1"]);

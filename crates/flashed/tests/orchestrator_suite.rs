@@ -329,3 +329,14 @@ fn skew_bound_violation_is_a_typed_error() {
         f.shutdown().unwrap();
     }
 }
+
+/// A canary that names no worker is a caller bug: the rollout refuses it
+/// up front instead of silently updating a different worker first.
+#[test]
+#[should_panic(expected = "canary 2 out of range (2 workers)")]
+fn out_of_range_canary_is_refused() {
+    let (fs, _) = fixture();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(2), &versions::v1(), "v1", &fs).unwrap();
+    let plan = RolloutPlan::guarded(2, PauseSlo::p99(Duration::from_secs(5)), BreachAction::Hold);
+    let _ = fleet.rollout_plan(&patch_stream().unwrap()[0].patch, &plan);
+}

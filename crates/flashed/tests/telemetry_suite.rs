@@ -8,7 +8,7 @@ use dsu_obs::journal::validate_lifecycle;
 use flashed::telemetry::names;
 use flashed::{
     patch_stream, versions, CrashPoint, EdgeConfig, FaultPlan, Fleet, FleetConfig, FleetError,
-    RolloutPolicy, RoutePolicy, Server, ServerShared, ServerTelemetry, SimFs, WorkerFailure,
+    RolloutPlan, RoutePolicy, Server, ServerConfig, ServerTelemetry, SimFs, WorkerFailure,
     Workload,
 };
 use vm::LinkMode;
@@ -23,13 +23,11 @@ fn fixture() -> (SimFs, Workload) {
 fn server_records_request_metrics_and_lifecycle() {
     let (fs, mut wl) = fixture();
     let tel = ServerTelemetry::new();
-    let mut s = Server::start_with(
-        LinkMode::Updateable,
+    let mut s = Server::start_cfg(
+        &ServerConfig::new(LinkMode::Updateable).with_telemetry(tel.clone()),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        Some(tel.clone()),
     )
     .unwrap();
 
@@ -71,14 +69,22 @@ fn server_records_request_metrics_and_lifecycle() {
 #[test]
 fn fleet_scrape_merges_workers_and_tracks_skew() {
     let (fs, mut wl) = fixture();
-    let fleet =
-        Fleet::start_telemetry(2, LinkMode::Updateable, &versions::v3(), "v3", &fs).unwrap();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(2).with_telemetry(),
+        &versions::v3(),
+        "v3",
+        &fs,
+    )
+    .unwrap();
     let tel = fleet.telemetry().unwrap();
     assert_eq!(tel.version_skew(), 0, "uniform fleet at boot");
 
     fleet.push_requests(wl.batch(200));
     let gen = &patch_stream().unwrap()[2]; // v3 -> v4
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     fleet.drain(200).unwrap();
     assert!(report.complete());
     assert_eq!(tel.version_skew(), 0, "skew settles once all workers apply");
@@ -131,8 +137,13 @@ fn fleet_scrape_merges_workers_and_tracks_skew() {
 #[test]
 fn failed_worker_keeps_context_in_report_and_journal() {
     let (fs, mut wl) = fixture();
-    let fleet =
-        Fleet::start_telemetry(2, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(2).with_telemetry(),
+        &versions::v1(),
+        "v1",
+        &fs,
+    )
+    .unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     // Canary on worker 0 so the fleet-wide rollout fails there.
@@ -145,7 +156,10 @@ fn failed_worker_keeps_context_in_report_and_journal() {
     }
 
     fleet.push_requests(wl.batch(100));
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert_eq!(report.failed.len(), 1);
     let (worker, failure) = &report.failed[0];
     assert_eq!(*worker, 0);
@@ -260,7 +274,7 @@ fn supervision_metrics_cover_restart_and_failover() {
 fn fleet_errors_are_typed_and_displayed() {
     // Boot failure: garbage source cannot compile.
     let fs = SimFs::generate_fixed(4, 64, 1);
-    let err = Fleet::start(2, LinkMode::Updateable, "not popcorn", "v1", &fs).unwrap_err();
+    let err = Fleet::start_cfg(&FleetConfig::new(2), "not popcorn", "v1", &fs).unwrap_err();
     match &err {
         FleetError::Worker {
             worker,

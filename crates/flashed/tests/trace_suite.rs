@@ -10,8 +10,8 @@ use dsu_obs::journal::validate_lifecycle;
 use dsu_obs::{stall_report, to_chrome_trace, validate_spans, SpanKind};
 use flashed::fault::FaultPlan;
 use flashed::{
-    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, PauseSlo, RolloutPolicy,
-    ServeMode, SimFs, WorkerOverride, Workload,
+    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, OrchestratorReport, PauseSlo,
+    RolloutPlan, ServeMode, SimFs, WorkerOverride, Workload,
 };
 
 fn fixture() -> (SimFs, Workload) {
@@ -45,12 +45,18 @@ fn guarded_rollout_spans_nest_and_reconcile() {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
     fleet.push_requests(wl.batch(300));
 
-    let (report, card) = fleet
-        .rollout_guarded(
+    let OrchestratorReport {
+        fleet_report: report,
+        card,
+        ..
+    } = fleet
+        .rollout_plan(
             &forward_patch(),
-            0,
-            PauseSlo::p99(Duration::from_millis(500)),
-            BreachAction::Hold,
+            &RolloutPlan::guarded(
+                0,
+                PauseSlo::p99(Duration::from_millis(500)),
+                BreachAction::Hold,
+            ),
         )
         .unwrap();
     assert_eq!(report.applied.len(), 2);
@@ -168,7 +174,7 @@ fn sampling_zero_keeps_update_spans_only() {
 
     fleet.push_requests(wl.batch(120));
     fleet
-        .rollout(&forward_patch(), RolloutPolicy::Rolling)
+        .rollout_plan(&forward_patch(), &RolloutPlan::rolling())
         .unwrap();
     fleet.drain(120).unwrap();
     fleet.shutdown().unwrap();
@@ -208,16 +214,19 @@ fn rollback_spans_nest_under_the_rollout_root() {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
     fleet.push_requests(wl.batch(150));
 
-    let (_, card) = fleet
-        .rollout_guarded(
+    let card = fleet
+        .rollout_plan(
             &forward_patch(),
-            0,
-            PauseSlo::p99(Duration::from_millis(2)),
-            BreachAction::RollBack {
-                inverse: Some(Box::new(inverse_patch())),
-            },
+            &RolloutPlan::guarded(
+                0,
+                PauseSlo::p99(Duration::from_millis(2)),
+                BreachAction::RollBack {
+                    inverse: Some(Box::new(inverse_patch())),
+                },
+            ),
         )
-        .unwrap();
+        .unwrap()
+        .card;
     assert_eq!(card.rollbacks.len(), 1);
     fleet.drain(150).unwrap();
 
