@@ -34,7 +34,9 @@ fn main() {
         "dispatch: static vs updateable-cold vs updateable-cached \
          (min of {samples} interleaved samples x {iters})"
     );
-    let mut entries = Vec::new();
+    let mut w = dsu_obs::json::Writer::new();
+    w.obj().key("bench").str("dispatch");
+    w.key("quick").bool(quick).key("kernels").arr();
     for k in kernels() {
         let mut ps = boot_kernel(&k, LinkMode::Static);
         let mut pc = boot_kernel(&k, LinkMode::Updateable);
@@ -62,23 +64,19 @@ fn main() {
             fmt_dur(tcached),
             overhead_percent(ts, tcached),
         );
-        entries.push(format!(
-            "{{\"kernel\":\"{}\",\"static_ns\":{},\"cold_ns\":{},\"cached_ns\":{},\
-             \"cold_overhead_pct\":{},\"cached_overhead_pct\":{}}}",
-            dsu_obs::json::escape(k.name),
-            ts.as_nanos(),
-            tcold.as_nanos(),
-            tcached.as_nanos(),
-            dsu_obs::json::num(overhead_percent(ts, tcold)),
-            dsu_obs::json::num(overhead_percent(ts, tcached)),
-        ));
+        w.obj().key("kernel").str(k.name);
+        w.key("static_ns").int(ts.as_nanos());
+        w.key("cold_ns").int(tcold.as_nanos());
+        w.key("cached_ns").int(tcached.as_nanos());
+        w.key("cold_overhead_pct").num(overhead_percent(ts, tcold));
+        w.key("cached_overhead_pct")
+            .num(overhead_percent(ts, tcached));
+        w.end_obj();
     }
+    w.end_arr().end_obj();
 
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\"bench\":\"dispatch\",\"quick\":{quick},\"kernels\":[{}]}}\n",
-            entries.join(",")
-        );
+        let doc = w.finish() + "\n";
         // `cargo bench` runs this binary with the package dir as CWD, so
         // anchor relative paths at the workspace root — artifacts land in
         // the same `target/telemetry/` the other bench bins write to.

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use dsu_bench::loadgen::ClosedLoop;
 use dsu_bench::measure::{fmt_dur, row, rule};
+use dsu_obs::json::Writer;
 use flashed::{
     patch_stream, versions, CrashPoint, EdgeConfig, FaultPlan, Fleet, FleetConfig, RestartReport,
     RolloutPlan, RoutePolicy, SimFs, SupervisorConfig, Workload,
@@ -345,38 +346,36 @@ fn failover_under_load(shape: &Shape) -> Result<LoadPhase, Box<dyn std::error::E
     Ok(phase)
 }
 
-fn restart_json(r: &RestartReport) -> String {
-    format!(
-        "{{\"worker\":{},\"detect_us\":{},\"reboot_us\":{},\"replay_us\":{},\
-         \"total_us\":{},\"replayed_to\":\"{}\",\"rerouted\":{}}}",
-        r.worker,
-        r.detect.as_micros(),
-        r.reboot.as_micros(),
-        r.replay.as_micros(),
-        r.total.as_micros(),
-        r.replayed_to,
-        r.rerouted,
-    )
+fn restart_json(w: &mut Writer, r: &RestartReport) {
+    w.obj().key("worker").int(r.worker);
+    w.key("detect_us").int(r.detect.as_micros());
+    w.key("reboot_us").int(r.reboot.as_micros());
+    w.key("replay_us").int(r.replay.as_micros());
+    w.key("total_us").int(r.total.as_micros());
+    w.key("replayed_to").str(&r.replayed_to);
+    w.key("rerouted").int(r.rerouted).end_obj();
 }
 
 fn to_json(shape: &Shape, cycles: &[RestartReport], load: &LoadPhase) -> String {
-    let cycle_rows: Vec<String> = cycles.iter().map(restart_json).collect();
-    format!(
-        "{{\"workers\":{},\"cycles\":[{}],\
-         \"failover_under_load\":{{\"capacity_rps\":{:.1},\"achieved_rps\":{:.1},\
-         \"clients\":{},\"offered\":{},\"admitted\":{},\"shed\":{},\"completions\":{},\
-         \"lost\":0,\"rerouted\":{},\"failovers\":{},\"restart\":{}}}}}",
-        shape.workers,
-        cycle_rows.join(","),
-        load.capacity_rps,
-        load.achieved_rps,
-        load.clients,
-        load.offered,
-        load.admitted,
-        load.shed,
-        load.completions,
-        load.rerouted,
-        load.failovers,
-        restart_json(&load.restart),
-    )
+    let mut w = Writer::new();
+    w.obj().key("workers").int(shape.workers);
+    w.key("cycles").arr();
+    for r in cycles {
+        restart_json(&mut w, r);
+    }
+    w.end_arr().key("failover_under_load").obj();
+    w.key("capacity_rps").num(load.capacity_rps);
+    w.key("achieved_rps").num(load.achieved_rps);
+    w.key("clients").int(load.clients);
+    w.key("offered").int(load.offered);
+    w.key("admitted").int(load.admitted);
+    w.key("shed").int(load.shed);
+    w.key("completions").int(load.completions);
+    w.key("lost").int(0u8);
+    w.key("rerouted").int(load.rerouted);
+    w.key("failovers").int(load.failovers);
+    w.key("restart");
+    restart_json(&mut w, &load.restart);
+    w.end_obj().end_obj();
+    w.finish()
 }

@@ -306,32 +306,25 @@ fn sweep(shape: &Shape, routed_rps: f64) -> Result<Vec<SweepRow>, Box<dyn std::e
 }
 
 fn sweep_json(shape: &Shape, routed_rps: f64, rows: &[SweepRow]) -> String {
-    let points: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"policy\":\"{}\",\"rate_rps\":{:.1},\"offered\":{},\"admitted\":{},\
-                 \"shed\":{},\"offered_rps\":{:.1},\"p50_us\":{},\"p99_us\":{},\
-                 \"p999_us\":{},\"max_us\":{}}}",
-                r.policy,
-                r.rate,
-                r.report.offered,
-                r.report.admitted,
-                r.report.shed,
-                r.report.offered_rps(),
-                r.stats.p50.as_micros(),
-                r.stats.p99.as_micros(),
-                r.stats.p999.as_micros(),
-                r.stats.max.as_micros(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"workers\":{},\"routed_capacity_rps\":{:.1},\"points\":[{}]}}",
-        shape.workers,
-        routed_rps,
-        points.join(",")
-    )
+    let mut w = dsu_obs::json::Writer::new();
+    w.obj().key("workers").int(shape.workers);
+    w.key("routed_capacity_rps").num(routed_rps);
+    w.key("points").arr();
+    for r in rows {
+        w.obj().key("policy").str(&r.policy.to_string());
+        w.key("rate_rps").num(r.rate);
+        w.key("offered").int(r.report.offered);
+        w.key("admitted").int(r.report.admitted);
+        w.key("shed").int(r.report.shed);
+        w.key("offered_rps").num(r.report.offered_rps());
+        w.key("p50_us").int(r.stats.p50.as_micros());
+        w.key("p99_us").int(r.stats.p99.as_micros());
+        w.key("p999_us").int(r.stats.p999.as_micros());
+        w.key("max_us").int(r.stats.max.as_micros());
+        w.end_obj();
+    }
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 /// Measurement 3: the staged guarded rollout (v3 -> v4) while an

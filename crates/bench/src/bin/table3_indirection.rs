@@ -125,32 +125,26 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"kernel\":\"{}\",\"static_ns\":{},\"cold_ns\":{},\"cached_ns\":{},\
-                     \"cold_overhead_pct\":{},\"cached_overhead_pct\":{},\
-                     \"calls\":{},\"instrs\":{}}}",
-                    dsu_obs::json::escape(m.name),
-                    m.t_static.as_nanos(),
-                    m.t_cold.as_nanos(),
-                    m.t_cached.as_nanos(),
-                    dsu_obs::json::num(overhead_percent(m.t_static, m.t_cold)),
-                    dsu_obs::json::num(overhead_percent(m.t_static, m.t_cached)),
-                    m.calls,
-                    m.instrs,
-                )
-            })
-            .collect();
-        let doc = format!(
-            "{{\"bench\":\"table3_indirection\",\"quick\":{quick},\
-             \"mean_cold_overhead_pct\":{},\"mean_cached_overhead_pct\":{},\
-             \"kernels\":[{}]}}\n",
-            dsu_obs::json::num(mean_cold),
-            dsu_obs::json::num(mean_cached),
-            entries.join(",")
-        );
+        let mut w = dsu_obs::json::Writer::new();
+        w.obj().key("bench").str("table3_indirection");
+        w.key("quick").bool(quick);
+        w.key("mean_cold_overhead_pct").num(mean_cold);
+        w.key("mean_cached_overhead_pct").num(mean_cached);
+        w.key("kernels").arr();
+        for m in &results {
+            w.obj().key("kernel").str(m.name);
+            w.key("static_ns").int(m.t_static.as_nanos());
+            w.key("cold_ns").int(m.t_cold.as_nanos());
+            w.key("cached_ns").int(m.t_cached.as_nanos());
+            w.key("cold_overhead_pct")
+                .num(overhead_percent(m.t_static, m.t_cold));
+            w.key("cached_overhead_pct")
+                .num(overhead_percent(m.t_static, m.t_cached));
+            w.key("calls").int(m.calls).key("instrs").int(m.instrs);
+            w.end_obj();
+        }
+        w.end_arr().end_obj();
+        let doc = w.finish() + "\n";
         if let Some(dir) = std::path::Path::new(&path).parent() {
             std::fs::create_dir_all(dir).expect("create json dir");
         }

@@ -23,6 +23,8 @@ use std::collections::VecDeque;
 
 use vm::BindingSnapshot;
 
+mod codec;
+
 /// Default number of prior versions a ring retains.
 pub const DEFAULT_SNAPSHOT_DEPTH: usize = 4;
 
@@ -135,7 +137,7 @@ impl SnapshotRing {
         let mut out = format!("dsu-snapshot-ring 1\ndepth {}\n", self.depth);
         for e in &self.entries {
             out.push_str(&format!("entry\t{}\t{}\n", e.from_version, e.to_version));
-            out.push_str(&vm::encode_snapshot(&e.snapshot));
+            out.push_str(&codec::encode(&e.snapshot));
             out.push('\n');
         }
         out
@@ -174,7 +176,7 @@ impl SnapshotRing {
             let to = parts.next().ok_or("entry missing to-version")?;
             let snap_line = lines.next().ok_or("entry missing snapshot line")?;
             let snapshot =
-                vm::decode_snapshot(snap_line).map_err(|e| format!("entry {from}->{to}: {e}"))?;
+                codec::decode(snap_line).map_err(|e| format!("entry {from}->{to}: {e}"))?;
             entries.push_back(SnapshotEntry {
                 from_version: from.to_string(),
                 to_version: to.to_string(),
@@ -256,10 +258,7 @@ mod tests {
         assert_eq!(back.len(), 2);
         // Entry payloads survive byte-for-byte (codec is deterministic).
         for (a, b) in back.entries.iter().zip(&ring.entries) {
-            assert_eq!(
-                vm::encode_snapshot(&a.snapshot),
-                vm::encode_snapshot(&b.snapshot)
-            );
+            assert_eq!(codec::encode(&a.snapshot), codec::encode(&b.snapshot));
         }
         // And the save of the load reproduces the text exactly.
         assert_eq!(back.save(), text);

@@ -460,70 +460,57 @@ impl RolloutReportCard {
 
     /// The card as a JSON object (for CI artifacts).
     pub fn to_json(&self) -> String {
-        let steps: Vec<String> = self
-            .steps
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"worker\":{},\"pause_at_quantile_us\":{},\"new_failures\":{},\"new_read_errors\":{},\"new_completions\":{},\"queued\":{},\"sojourn_at_quantile_us\":{},\"new_sheds\":{}}}",
-                    s.worker,
-                    s.pause_at_quantile.map_or(-1, |d| d.as_micros() as i64),
-                    s.new_failures,
-                    s.new_read_errors,
-                    s.new_completions,
-                    s.queued,
-                    s.sojourn_at_quantile.map_or(-1, |d| d.as_micros() as i64),
-                    s.new_sheds,
-                )
-            })
-            .collect();
-        let applies = |list: &[(usize, UpdateReport)]| -> String {
-            let rows: Vec<String> = list
-                .iter()
-                .map(|(w, r)| {
-                    format!(
-                        "{{\"worker\":{w},\"from\":{},\"to\":{},\"rolled_back\":{},\"total_us\":{}}}",
-                        json::escape(&r.from_version),
-                        json::escape(&r.to_version),
-                        r.rolled_back,
-                        r.timings.total().as_micros(),
-                    )
-                })
-                .collect();
-            format!("[{}]", rows.join(","))
+        let mut w = json::Writer::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`RolloutReportCard::to_json`] object into `w`.
+    pub(crate) fn write_json(&self, w: &mut json::Writer) {
+        let micros = |d: Option<Duration>| d.map_or(-1, |d| d.as_micros() as i64);
+        w.obj().key("from").str(&self.transition.0);
+        w.key("to").str(&self.transition.1);
+        w.key("canary").int(self.canary);
+        w.key("slo").obj().key("quantile").num(self.slo.quantile);
+        w.key("max_us").int(self.slo.max.as_micros()).end_obj();
+        w.key("outcome").obj().key("kind");
+        match &self.outcome {
+            RolloutOutcome::Completed => w.str("completed"),
+            RolloutOutcome::Held(b) => w.str("held").key("breach").str(&b.to_string()),
+            RolloutOutcome::RolledBack(b) => w.str("rolled-back").key("breach").str(&b.to_string()),
         };
-        let outcome = match &self.outcome {
-            RolloutOutcome::Completed => "{\"kind\":\"completed\"}".to_string(),
-            RolloutOutcome::Held(b) => {
-                format!(
-                    "{{\"kind\":\"held\",\"breach\":{}}}",
-                    json::escape(&b.to_string())
-                )
+        w.end_obj().key("converged").bool(self.converged());
+        w.key("steps").arr();
+        for s in &self.steps {
+            w.obj().key("worker").int(s.worker);
+            w.key("pause_at_quantile_us")
+                .int(micros(s.pause_at_quantile));
+            w.key("new_failures").int(s.new_failures);
+            w.key("new_read_errors").int(s.new_read_errors);
+            w.key("new_completions").int(s.new_completions);
+            w.key("queued").int(s.queued);
+            w.key("sojourn_at_quantile_us")
+                .int(micros(s.sojourn_at_quantile));
+            w.key("new_sheds").int(s.new_sheds).end_obj();
+        }
+        w.end_arr();
+        for (key, list) in [("forward", &self.forward), ("rollbacks", &self.rollbacks)] {
+            w.key(key).arr();
+            for (worker, r) in list {
+                w.obj().key("worker").int(*worker);
+                w.key("from").str(&r.from_version);
+                w.key("to").str(&r.to_version);
+                w.key("rolled_back").bool(r.rolled_back);
+                w.key("total_us").int(r.timings.total().as_micros());
+                w.end_obj();
             }
-            RolloutOutcome::RolledBack(b) => format!(
-                "{{\"kind\":\"rolled-back\",\"breach\":{}}}",
-                json::escape(&b.to_string())
-            ),
-        };
-        let versions: Vec<String> = self
-            .final_versions
-            .iter()
-            .map(|v| json::escape(v))
-            .collect();
-        format!(
-            "{{\"from\":{},\"to\":{},\"canary\":{},\"slo\":{{\"quantile\":{},\"max_us\":{}}},\"outcome\":{},\"converged\":{},\"steps\":[{}],\"forward\":{},\"rollbacks\":{},\"final_versions\":[{}]}}",
-            json::escape(&self.transition.0),
-            json::escape(&self.transition.1),
-            self.canary,
-            json::num(self.slo.quantile),
-            self.slo.max.as_micros(),
-            outcome,
-            self.converged(),
-            steps.join(","),
-            applies(&self.forward),
-            applies(&self.rollbacks),
-            versions.join(","),
-        )
+            w.end_arr();
+        }
+        w.key("final_versions").arr();
+        for v in &self.final_versions {
+            w.str(v);
+        }
+        w.end_arr().end_obj();
     }
 
     /// A human-readable rendering (one line per step, then the verdict).
@@ -729,6 +716,7 @@ mod tests {
             final_versions: vec!["v1".to_string(), "v1".to_string()],
         };
         let json = card.to_json();
+        json::parse(&json).unwrap();
         assert!(json.contains("\"kind\":\"rolled-back\""));
         assert!(json.contains("\"converged\":true"));
         let text = card.render();

@@ -41,7 +41,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use dsu_core::{FleetUpdateReport, Patch, UpdateReport};
-use dsu_obs::{Journal, Stage};
+use dsu_obs::{json, Journal, Stage};
 
 use crate::fleet::{Fleet, FleetError};
 use crate::guard::{
@@ -273,41 +273,33 @@ impl OrchestratorReport {
     /// One JSON object (single line) summarising the run; the embedded
     /// `card` is [`RolloutReportCard::to_json`].
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"fleets\":{},\"workers\":{},\"skew_bound\":{},\"max_skew\":{},\
-             \"skew_window_us\":{},\"resumed_from\":{},\"cohorts\":[",
-            self.fleets,
-            self.fleet_report.workers,
-            if self.skew_bound == usize::MAX {
-                -1i64
-            } else {
-                self.skew_bound as i64
-            },
-            self.max_skew,
-            self.skew_window.as_micros(),
-            self.resumed_from,
-        );
-        for (i, c) in self.cohorts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        let mut w = json::Writer::new();
+        w.obj().key("fleets").int(self.fleets);
+        w.key("workers").int(self.fleet_report.workers);
+        w.key("skew_bound").int(if self.skew_bound == usize::MAX {
+            -1
+        } else {
+            self.skew_bound as i64
+        });
+        w.key("max_skew").int(self.max_skew);
+        w.key("skew_window_us").int(self.skew_window.as_micros());
+        w.key("resumed_from").int(self.resumed_from);
+        w.key("cohorts").arr();
+        for c in &self.cohorts {
+            w.obj().key("index").int(c.index).key("workers").arr();
+            for worker in &c.workers {
+                w.int(*worker);
             }
-            s.push_str(&format!(
-                "{{\"index\":{},\"workers\":{:?},\"pause_at_quantile_us\":{},\
-                 \"dur_us\":{},\"soaked\":{},\"soak_extends\":{}}}",
-                c.index,
-                c.workers,
-                c.pause_at_quantile
-                    .map(|d| d.as_micros() as i128)
-                    .unwrap_or(-1),
-                c.dur.as_micros(),
-                c.soaked,
-                c.soak_extends,
-            ));
+            w.end_arr().key("pause_at_quantile_us");
+            w.int(c.pause_at_quantile.map_or(-1, |d| d.as_micros() as i128));
+            w.key("dur_us").int(c.dur.as_micros());
+            w.key("soaked").bool(c.soaked);
+            w.key("soak_extends").int(c.soak_extends).end_obj();
         }
-        s.push_str("],\"card\":");
-        s.push_str(&self.card.to_json());
-        s.push('}');
-        s
+        w.end_arr().key("card");
+        self.card.write_json(&mut w);
+        w.end_obj();
+        w.finish()
     }
 
     /// A human-readable multi-cohort timeline of the run.

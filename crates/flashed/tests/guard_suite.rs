@@ -278,6 +278,7 @@ fn guarded_breach_rolls_every_updated_worker_back() {
 
     // The report card is a usable artifact.
     let json = card.to_json();
+    dsu_obs::json::parse(&json).unwrap();
     assert!(json.contains("\"kind\":\"rolled-back\""), "{json}");
     assert!(json.contains("\"converged\":true"), "{json}");
     assert!(card.render().contains("ROLLED BACK"));

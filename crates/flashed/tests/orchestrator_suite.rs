@@ -95,6 +95,7 @@ fn staged_rollout_walks_cohorts_across_fleets() {
 
     // The machine- and human-readable summaries cover the run.
     let json = report.to_json();
+    dsu_obs::json::parse(&json).unwrap();
     assert!(json.contains("\"fleets\":3"), "{json}");
     assert!(json.contains("\"cohorts\":["), "{json}");
     let text = report.render();

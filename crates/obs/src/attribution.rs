@@ -226,75 +226,57 @@ fn ms(d: Duration) -> f64 {
 }
 
 impl StallReport {
-    /// One JSON object (hand-rolled, like the rest of the crate).
+    /// One JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"requests_seen\":{},\"requests_delayed\":{},\
-             \"attributed_total_ms\":{},\"unattributed_total_ms\":{},\
-             \"p50_attributed_ms\":{},\"p99_attributed_ms\":{},\
-             \"p50_intrinsic_ms\":{},\"p99_intrinsic_ms\":{},\"updates\":[",
-            self.requests_seen,
-            self.requests_delayed,
-            json::num(ms(self.attributed_total)),
-            json::num(ms(self.unattributed_total)),
-            json::num(ms(self.p50_attributed)),
-            json::num(ms(self.p99_attributed)),
-            json::num(ms(self.p50_intrinsic)),
-            json::num(ms(self.p99_intrinsic)),
-        );
-        for (i, u) in self.updates.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"update\":{},\"trace\":{},\"rollback\":{},\"pause_ms\":{},\
-                 \"phase_total_ms\":{},\"requests_delayed\":{},\"attributed_ms\":{},\
-                 \"unattributed_ms\":{}",
-                u.update,
-                u.trace,
-                u.rollback,
-                json::num(ms(u.pause)),
-                json::num(ms(u.phase_total)),
-                u.requests_delayed,
-                json::num(ms(u.attributed)),
-                json::num(ms(u.unattributed)),
-            ));
-            if let Some(w) = u.worker {
-                s.push_str(&format!(",\"worker\":{w}"));
+        let mut w = json::Writer::new();
+        w.obj().key("requests_seen").int(self.requests_seen);
+        w.key("requests_delayed").int(self.requests_delayed);
+        for (key, d) in [
+            ("attributed_total_ms", self.attributed_total),
+            ("unattributed_total_ms", self.unattributed_total),
+            ("p50_attributed_ms", self.p50_attributed),
+            ("p99_attributed_ms", self.p99_attributed),
+            ("p50_intrinsic_ms", self.p50_intrinsic),
+            ("p99_intrinsic_ms", self.p99_intrinsic),
+        ] {
+            w.key(key).num(ms(d));
+        }
+        w.key("updates").arr();
+        for u in &self.updates {
+            w.obj().key("update").int(u.update);
+            w.key("trace").int(u.trace);
+            w.key("rollback").bool(u.rollback);
+            w.key("pause_ms").num(ms(u.pause));
+            w.key("phase_total_ms").num(ms(u.phase_total));
+            w.key("requests_delayed").int(u.requests_delayed);
+            w.key("attributed_ms").num(ms(u.attributed));
+            w.key("unattributed_ms").num(ms(u.unattributed));
+            if let Some(worker) = u.worker {
+                w.key("worker").int(worker);
             }
             if let Some(d) = &u.detail {
-                s.push_str(&format!(",\"transition\":\"{}\"", json::escape(d)));
+                w.key("transition").str(d);
             }
-            s.push_str(",\"per_phase_ms\":{");
-            for (j, (name, d)) in u.per_phase.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{}\":{}", json::escape(name), json::num(ms(*d))));
+            w.key("per_phase_ms").obj();
+            for (name, d) in &u.per_phase {
+                w.key(name).num(ms(*d));
             }
-            s.push_str("}}");
+            w.end_obj().end_obj();
         }
-        s.push_str("],\"requests\":[");
-        for (i, r) in self.requests.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        w.end_arr().key("requests").arr();
+        for r in &self.requests {
+            w.obj().key("request").int(r.request);
+            w.key("total_ms").num(ms(r.total));
+            w.key("attributed_ms").num(ms(r.attributed));
+            w.key("intrinsic_ms").num(ms(r.intrinsic));
+            w.key("overlapping_updates").int(r.overlapping_updates);
+            if let Some(worker) = r.worker {
+                w.key("worker").int(worker);
             }
-            s.push_str(&format!(
-                "{{\"request\":{},\"total_ms\":{},\"attributed_ms\":{},\
-                 \"intrinsic_ms\":{},\"overlapping_updates\":{}",
-                r.request,
-                json::num(ms(r.total)),
-                json::num(ms(r.attributed)),
-                json::num(ms(r.intrinsic)),
-                r.overlapping_updates,
-            ));
-            if let Some(w) = r.worker {
-                s.push_str(&format!(",\"worker\":{w}"));
-            }
-            s.push('}');
+            w.end_obj();
         }
-        s.push_str("]}");
-        s
+        w.end_arr().end_obj();
+        w.finish()
     }
 
     /// Human-readable rendering (fixed-width table + summary lines).

@@ -174,32 +174,30 @@ pub struct Event {
 impl Event {
     /// One JSON object, no trailing newline (JSONL line).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"seq\":{},\"at_ns\":{},\"update\":{},\"from\":\"{}\",\"to\":\"{}\",\"stage\":\"{}\"",
-            self.seq,
-            self.at.as_nanos(),
-            self.update,
-            json::escape(&self.from_version),
-            json::escape(&self.to_version),
-            self.stage.name(),
-        );
-        if let Some(w) = self.worker {
-            s.push_str(&format!(",\"worker\":{w}"));
+        let mut w = json::Writer::new();
+        w.obj().key("seq").int(self.seq);
+        w.key("at_ns").int(self.at.as_nanos());
+        w.key("update").int(self.update);
+        w.key("from").str(&self.from_version);
+        w.key("to").str(&self.to_version);
+        w.key("stage").str(self.stage.name());
+        if let Some(worker) = self.worker {
+            w.key("worker").int(worker);
         }
         if let Some(d) = self.dur {
-            s.push_str(&format!(",\"dur_ns\":{}", d.as_nanos()));
+            w.key("dur_ns").int(d.as_nanos());
         }
         if let Some(detail) = &self.detail {
-            s.push_str(&format!(",\"detail\":\"{}\"", json::escape(detail)));
+            w.key("detail").str(detail);
         }
         if let Some(t) = self.trace {
-            s.push_str(&format!(",\"trace\":{t}"));
+            w.key("trace").int(t);
         }
         if let Some(sp) = self.span {
-            s.push_str(&format!(",\"span\":{sp}"));
+            w.key("span").int(sp);
         }
-        s.push('}');
-        s
+        w.end_obj();
+        w.finish()
     }
 
     /// Parses one JSONL line back into an event — the inverse of
@@ -207,52 +205,45 @@ impl Event {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or ill-typed field.
+    /// Returns the syntax error, or a description of the first missing or
+    /// ill-typed field.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        let fields = json::parse_flat_object(line)?;
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let int = |key: &str| -> Result<i128, String> {
-            get(key)
-                .and_then(json::Scalar::as_int)
-                .ok_or_else(|| format!("missing or non-integer `{key}`"))
+        let v = json::parse(line)?;
+        let opt_int = |key: &str| -> Result<Option<u64>, String> {
+            v.get(key)
+                .map(|n| {
+                    n.as_int()
+                        .and_then(|n| u64::try_from(n).ok())
+                        .ok_or_else(|| format!("non-integer `{key}`"))
+                })
+                .transpose()
         };
-        let text = |key: &str| -> Result<String, String> {
-            get(key)
-                .and_then(json::Scalar::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string `{key}`"))
+        let int = |key: &str| opt_int(key)?.ok_or_else(|| format!("missing `{key}`"));
+        let opt_text = |key: &str| -> Result<Option<String>, String> {
+            v.get(key)
+                .map(|s| {
+                    s.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| format!("non-string `{key}`"))
+                })
+                .transpose()
         };
-        let opt_int = |key: &str| -> Result<Option<i128>, String> {
-            match get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_int()
-                    .map(Some)
-                    .ok_or_else(|| format!("non-integer `{key}`")),
-            }
-        };
+        let text = |key: &str| opt_text(key)?.ok_or_else(|| format!("missing `{key}`"));
         let stage_name = text("stage")?;
         let stage =
             Stage::from_name(&stage_name).ok_or_else(|| format!("unknown stage `{stage_name}`"))?;
         Ok(Event {
-            seq: int("seq")? as u64,
-            at: Duration::from_nanos(int("at_ns")? as u64),
+            seq: int("seq")?,
+            at: Duration::from_nanos(int("at_ns")?),
             worker: opt_int("worker")?.map(|w| w as usize),
-            update: int("update")? as u64,
+            update: int("update")?,
             from_version: text("from")?,
             to_version: text("to")?,
             stage,
-            dur: opt_int("dur_ns")?.map(|d| Duration::from_nanos(d as u64)),
-            detail: match get("detail") {
-                None => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or("non-string `detail`")?,
-                ),
-            },
-            trace: opt_int("trace")?.map(|t| t as u64),
-            span: opt_int("span")?.map(|s| s as u64),
+            dur: opt_int("dur_ns")?.map(Duration::from_nanos),
+            detail: opt_text("detail")?,
+            trace: opt_int("trace")?,
+            span: opt_int("span")?,
         })
     }
 }
@@ -843,6 +834,22 @@ mod tests {
         }
         assert!(Event::from_json("{\"seq\":1}").is_err());
         assert!(Event::from_json("not json").is_err());
+    }
+
+    /// A WAL line written before the event encoder moved onto
+    /// `json::Writer`; recovered journals must keep reading it, and new
+    /// lines must match it byte for byte.
+    const WAL_LINE: &str = r#"{"seq":1,"at_ns":987654321,"update":1,"from":"v1","to":"v2","stage":"transform","worker":4,"dur_ns":12345,"detail":"detail with \"quotes\"\\ and\nnewline\ttab\u0001é","trace":9,"span":11}"#;
+
+    #[test]
+    fn committed_wal_line_decodes_and_re_encodes_identically() {
+        let e = Event::from_json(WAL_LINE).unwrap();
+        assert_eq!(
+            e.detail.as_deref(),
+            Some("detail with \"quotes\"\\ and\nnewline\ttab\u{1}é")
+        );
+        assert_eq!(e.dur, Some(Duration::from_nanos(12_345)));
+        assert_eq!(e.to_json(), WAL_LINE);
     }
 
     #[test]

@@ -1,196 +1,382 @@
-//! Minimal JSON emission and parsing helpers (the crate is
-//! dependency-free; the exported shapes are simple enough that
-//! hand-rolled escaping and a flat-object reader beat pulling a
-//! serialisation framework into every layer of the system).
+//! The workspace's one JSON codec: a streaming [`Writer`] and a bounded
+//! recursive-descent [`parse`].
+//!
+//! Every JSON artifact the system produces — journal WAL lines, snapshot
+//! rings, metric and trace exports, report cards, bench results — is
+//! written through [`Writer`], which owns quoting, escaping and commas, so
+//! no emitter can produce an unquoted string or a bare `NaN`. Every JSON
+//! input — recovered journals and snapshot rings — is read by [`parse`],
+//! which scans strings in linear time and refuses nesting deeper than
+//! [`MAX_DEPTH`] instead of overflowing the stack on hostile input.
+//!
+//! The writer streams straight into its buffer rather than building a
+//! [`Json`] tree and printing it: the snapshot encoder runs on serving
+//! worker threads after every apply, and the tree would double its cost.
 
-/// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. The snapshot encoder,
+/// the deepest emitter, nests FlashEd's v5 state 8 levels deep (each guest
+/// array or record adds two); this bound keeps parser recursion far inside
+/// a thread stack.
+pub const MAX_DEPTH: usize = 256;
+
+/// Integer types [`Writer::int`] emits verbatim.
+pub trait Int: std::fmt::Display {}
+
+macro_rules! ints {
+    ($($t:ty),*) => { $(impl Int for $t {})* };
+}
+ints!(i64, i128, u8, u32, u64, u128, usize);
+
+/// A streaming JSON writer: a `String` plus a needs-comma flag. Values
+/// and keys insert the separating comma themselves; a key's value follows
+/// it without one.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    comma: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
         }
     }
-    out
-}
 
-/// Formats a float the way JSON expects (finite; NaN/inf become null).
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+    fn open(&mut self, c: char) -> &mut Writer {
+        self.sep();
+        self.out.push(c);
+        self.comma = false;
+        self
+    }
+
+    fn close(&mut self, c: char) -> &mut Writer {
+        self.out.push(c);
+        self.comma = true;
+        self
+    }
+
+    /// Opens an object.
+    pub fn obj(&mut self) -> &mut Writer {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Writer {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn arr(&mut self) -> &mut Writer {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Writer {
+        self.close(']')
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, k: &str) -> &mut Writer {
+        self.str(k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes a string value, quoted and escaped.
+    pub fn str(&mut self, s: &str) -> &mut Writer {
+        self.sep();
+        self.out.push('"');
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            self.out.push_str(&s[start..i]);
+            start = i + 1;
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => {
+                    let _ = write!(self.out, "\\u{b:04x}");
+                }
+            }
+        }
+        self.out.push_str(&s[start..]);
+        self.out.push('"');
+        self.comma = true;
+        self
+    }
+
+    /// Writes an integer value.
+    pub fn int(&mut self, n: impl Int) -> &mut Writer {
+        self.raw(format_args!("{n}"))
+    }
+
+    /// Writes a float value; NaN and infinities become `null`.
+    pub fn num(&mut self, v: f64) -> &mut Writer {
+        if v.is_finite() {
+            self.raw(format_args!("{v}"))
+        } else {
+            self.null()
+        }
+    }
+
+    /// Writes a boolean value.
+    pub fn bool(&mut self, b: bool) -> &mut Writer {
+        self.raw(format_args!("{b}"))
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Writer {
+        self.raw(format_args!("null"))
+    }
+
+    fn raw(&mut self, text: std::fmt::Arguments) -> &mut Writer {
+        self.sep();
+        let _ = self.out.write_fmt(text);
+        self.comma = true;
+        self
     }
 }
 
-/// One field value of a flat JSON object (journal events nest nothing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Scalar {
+/// A parsed JSON value. Numbers without a fraction or exponent are
+/// [`Json::Int`]; object fields keep their source order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
     Null,
     Bool(bool),
-    /// Integer — the only numeric shape the journal emits (`at_ns`,
-    /// `dur_ns`, ids). Wide enough for `Duration::as_nanos` values.
     Int(i128),
+    Num(f64),
     Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
 }
 
-impl Scalar {
-    /// The integer value, if this scalar is one.
+impl Json {
+    /// The first field named `key`, if this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.as_obj()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// The integer value, if this is one.
     pub fn as_int(&self) -> Option<i128> {
         match self {
-            Scalar::Int(n) => Some(*n),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The string value, if this scalar is one.
+    /// The string value, if this is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Scalar::Str(s) => Some(s),
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The fields in source order, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(v) => Some(v),
             _ => None,
         }
     }
 }
 
-/// Parses one flat JSON object — `{"key": scalar, ...}` with string,
-/// integer, boolean and null values only — into its fields in source
-/// order. The inverse of the emission side of this module, for reading
-/// back write-ahead journal lines.
+/// Parses one JSON document (surrounding whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error (nested values are a
-/// syntax error here: the journal never writes them).
-pub fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
+/// Returns a description of the first syntax error, including nesting
+/// deeper than [`MAX_DEPTH`].
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser { text, pos: 0 };
+    let v = p.value(0)?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(p.err("trailing input"));
+    }
+    Ok(v)
+}
 
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *pos += 1;
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, msg: &str) -> String {
+        format!("{msg} at byte {}", self.pos)
+    }
+
+    fn skip_ws(&mut self) {
+        let b = self.text.as_bytes();
+        while matches!(b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
-    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b) {
-            *pos += 1;
+    /// Skips whitespace, then consumes `b` if it comes next.
+    fn eat(&mut self, b: u8) -> bool {
+        self.skip_ws();
+        let hit = self.text.as_bytes().get(self.pos) == Some(&b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.eat(b) {
             Ok(())
         } else {
-            Err(format!("expected `{}` at byte {pos}", b as char))
+            Err(self.err(&format!("expected `{}`", b as char)))
         }
     }
 
-    fn string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        self.skip_ws();
+        let rest = &self.text.as_bytes()[self.pos..];
+        match rest.first() {
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => {
+                self.pos += 1;
+                let mut fields = Vec::new();
+                if self.eat(b'}') {
+                    return Ok(Json::Obj(fields));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.expect(b':')?;
+                    fields.push((key, self.value(depth + 1)?));
+                    if self.eat(b'}') {
+                        return Ok(Json::Obj(fields));
+                    }
+                    self.expect(b',')?;
+                }
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                let mut elems = Vec::new();
+                if self.eat(b']') {
+                    return Ok(Json::Arr(elems));
+                }
+                loop {
+                    elems.push(self.value(depth + 1)?);
+                    if self.eat(b']') {
+                        return Ok(Json::Arr(elems));
+                    }
+                    self.expect(b',')?;
+                }
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => {
+                for (word, v) in [
+                    ("true", Json::Bool(true)),
+                    ("false", Json::Bool(false)),
+                    ("null", Json::Null),
+                ] {
+                    if rest.starts_with(word.as_bytes()) {
+                        self.pos += word.len();
+                        return Ok(v);
+                    }
+                }
+                Err(self.err("expected a JSON value"))
+            }
+        }
+    }
+
+    /// Reads a number at the cursor: an [`Json::Int`] when the text is
+    /// one, else whatever `f64`'s parser accepts from the number bytes.
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        let b = self.text.as_bytes();
+        while matches!(
+            b.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        match text.parse() {
+            Ok(n) => Ok(Json::Int(n)),
+            Err(_) => text
+                .parse()
+                .map(Json::Num)
+                .map_err(|e| self.err(&format!("bad number `{text}`: {e}"))),
+        }
+    }
+
+    /// Reads a quoted string at the cursor. Runs of plain characters are
+    /// copied as slices, so the scan is linear in the input.
+    fn string(&mut self) -> Result<String, String> {
+        if self.text.as_bytes().get(self.pos) != Some(&b'"') {
+            return Err(self.err("expected a string"));
+        }
+        self.pos += 1;
         let mut out = String::new();
         loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    let rest = std::str::from_utf8(&bytes[*pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
+            let rest = &self.text[self.pos..];
+            let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\') else {
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&rest[..i]);
+            self.pos += i + 1;
+            if rest.as_bytes()[i] == b'"' {
+                return Ok(out);
             }
+            let esc = self.text.as_bytes().get(self.pos).copied();
+            self.pos += 1;
+            out.push(match esc {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .and_then(char::from_u32);
+                    self.pos += 4;
+                    hex.ok_or_else(|| self.err("bad \\u escape"))?
+                }
+                _ => return Err(self.err("bad escape")),
+            });
         }
     }
-
-    fn scalar(bytes: &[u8], pos: &mut usize) -> Result<Scalar, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'"') => Ok(Scalar::Str(string(bytes, pos)?)),
-            Some(b't') if bytes[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Scalar::Bool(true))
-            }
-            Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Scalar::Bool(false))
-            }
-            Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Scalar::Null)
-            }
-            Some(&c) if c == b'-' || c.is_ascii_digit() => {
-                let start = *pos;
-                if c == b'-' {
-                    *pos += 1;
-                }
-                while bytes.get(*pos).is_some_and(|b| b.is_ascii_digit()) {
-                    *pos += 1;
-                }
-                let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits");
-                text.parse::<i128>()
-                    .map(Scalar::Int)
-                    .map_err(|e| format!("bad number `{text}`: {e}"))
-            }
-            _ => Err(format!("expected a scalar at byte {pos}")),
-        }
-    }
-
-    expect(bytes, &mut pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        pos += 1;
-    } else {
-        loop {
-            let key = string(bytes, &mut pos)?;
-            expect(bytes, &mut pos, b':')?;
-            fields.push((key, scalar(bytes, &mut pos)?));
-            skip_ws(bytes, &mut pos);
-            match bytes.get(pos) {
-                Some(b',') => pos += 1,
-                Some(b'}') => {
-                    pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-            }
-        }
-    }
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing input at byte {pos}"));
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]
@@ -198,44 +384,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escapes_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(escape("plain"), "plain");
+    fn writer_escapes_and_places_commas() {
+        let mut w = Writer::new();
+        w.obj().key("a").int(1u8).key("b\n").arr();
+        w.obj().end_obj().bool(true).null();
+        w.str("x\"y\\z\u{1}é").end_arr();
+        w.key("c").obj().key("d").int(-2i64).end_obj();
+        w.key("f").arr().num(1.5).num(f64::NAN);
+        w.num(f64::INFINITY).end_arr();
+        w.end_obj();
+        assert_eq!(
+            w.finish(),
+            "{\"a\":1,\"b\\n\":[{},true,null,\"x\\\"y\\\\z\\u0001é\"],\
+             \"c\":{\"d\":-2},\"f\":[1.5,null,null]}"
+        );
     }
 
     #[test]
-    fn non_finite_numbers_are_null() {
-        assert_eq!(num(1.5), "1.5");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn flat_objects_parse_back() {
-        let fields = parse_flat_object(
-            "{\"seq\":3,\"from\":\"v1\",\"ok\":true,\"none\":null,\"neg\":-7,\"esc\":\"a\\\"b\\nc\"}",
+    fn values_parse_back() {
+        let v = parse(
+            " {\"seq\":3,\"from\":\"v1\",\"ok\":true,\"none\":null,\"neg\":-7,\
+             \"esc\":\"a\\\"b\\nc\\u00e9\",\"f\":-1.5e2,\"a\":[1,[],{}]} ",
         )
         .unwrap();
-        assert_eq!(fields[0], ("seq".to_string(), Scalar::Int(3)));
-        assert_eq!(
-            fields[1],
-            ("from".to_string(), Scalar::Str("v1".to_string()))
-        );
-        assert_eq!(fields[2], ("ok".to_string(), Scalar::Bool(true)));
-        assert_eq!(fields[3], ("none".to_string(), Scalar::Null));
-        assert_eq!(fields[4], ("neg".to_string(), Scalar::Int(-7)));
-        assert_eq!(
-            fields[5],
-            ("esc".to_string(), Scalar::Str("a\"b\nc".to_string()))
-        );
-        assert!(parse_flat_object("{}").unwrap().is_empty());
+        assert_eq!(v.get("seq").and_then(Json::as_int), Some(3));
+        assert_eq!(v.get("from").and_then(Json::as_str), Some("v1"));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("none"), Some(&Json::Null));
+        assert_eq!(v.get("neg").and_then(Json::as_int), Some(-7));
+        assert_eq!(v.get("esc").and_then(Json::as_str), Some("a\"b\nc\u{e9}"));
+        assert_eq!(v.get("f"), Some(&Json::Num(-150.0)));
+        assert_eq!(v.get("a").and_then(Json::as_arr).map(<[_]>::len), Some(3));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(parse("{}").unwrap(), Json::Obj(vec![]));
     }
 
     #[test]
-    fn flat_object_errors() {
-        for bad in ["", "{", "{\"a\":}", "{\"a\":1} extra", "[1]", "{\"a\":{}}"] {
-            assert!(parse_flat_object(bad).is_err(), "{bad}");
+    fn syntax_errors_and_the_depth_bound() {
+        let deep = "[".repeat(MAX_DEPTH + 1);
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "{\"a\":1} x",
+            "[1,]",
+            "[1 2]",
+            "-",
+            "1e",
+            "\"ab",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "tru",
+            "{1:2}",
+            &deep,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
         }
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
     }
 }

@@ -21,7 +21,11 @@
 //! * [`attribution`] — the **latency-attribution analyzer**: joins
 //!   request spans with overlapping update spans into a per-update
 //!   [`StallReport`] (requests delayed, per-phase attributed time,
-//!   attributed vs. intrinsic percentiles).
+//!   attributed vs. intrinsic percentiles);
+//! * [`json`] — the workspace's one **JSON codec**: a streaming
+//!   [`json::Writer`] behind every exported artifact and durable record,
+//!   and a bounded [`json::parse`] behind every reader (journal WAL
+//!   recovery here, snapshot rings in `dsu-core`).
 //!
 //! Everything is dependency-free, lock-light (counters are relaxed
 //! atomics; the journal and span ring take one short mutex per record)

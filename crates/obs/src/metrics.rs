@@ -419,9 +419,18 @@ fn label_str(labels: &[(String, String)]) -> String {
     }
     let parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", json::escape(v)))
+        .map(|(k, v)| format!("{k}={}", quote_label(v)))
         .collect();
     format!("{{{}}}", parts.join(","))
+}
+
+/// A quoted Prometheus label value. Escapes `"`, `\\` and newlines as the
+/// exposition format requires, and other control characters the way the
+/// JSON writer does.
+fn quote_label(v: &str) -> String {
+    let mut w = json::Writer::new();
+    w.str(v);
+    w.finish()
 }
 
 fn label_str_with(labels: &[(String, String)], extra_k: &str, extra_v: &str) -> String {
@@ -471,7 +480,7 @@ pub fn snapshots_to_prometheus(snaps: &[MetricSnapshot]) -> String {
                     for (i, c) in counts.iter().enumerate() {
                         cum += c;
                         let le = match bounds_us.get(i) {
-                            Some(us) => json::num(*us as f64 / 1e6),
+                            Some(us) => (*us as f64 / 1e6).to_string(),
                             None => "+Inf".to_string(),
                         };
                         out.push_str(&format!(
@@ -482,7 +491,7 @@ pub fn snapshots_to_prometheus(snaps: &[MetricSnapshot]) -> String {
                     out.push_str(&format!(
                         "{name}_sum{} {}\n",
                         label_str(&s.labels),
-                        json::num(sum.as_secs_f64())
+                        sum.as_secs_f64()
                     ));
                     out.push_str(&format!("{name}_count{} {count}\n", label_str(&s.labels)));
                 }
@@ -494,47 +503,40 @@ pub fn snapshots_to_prometheus(snaps: &[MetricSnapshot]) -> String {
 
 /// Renders metric snapshots as a JSON document.
 pub fn snapshots_to_json(snaps: &[MetricSnapshot]) -> String {
-    let mut items = Vec::with_capacity(snaps.len());
+    let mut w = json::Writer::new();
+    w.obj().key("metrics").arr();
     for s in snaps {
-        let labels: Vec<String> = s
-            .labels
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)))
-            .collect();
-        let body = match &s.value {
-            MetricValue::Counter(v) => format!("\"type\":\"counter\",\"value\":{v}"),
-            MetricValue::Gauge(v) => format!("\"type\":\"gauge\",\"value\":{v}"),
+        w.obj().key("name").str(&s.name).key("labels").obj();
+        for (k, v) in &s.labels {
+            w.key(k).str(v);
+        }
+        w.end_obj().key("type");
+        match &s.value {
+            MetricValue::Counter(v) => w.str("counter").key("value").int(*v),
+            MetricValue::Gauge(v) => w.str("gauge").key("value").int(*v),
             MetricValue::Histogram {
                 bounds_us,
                 counts,
                 sum,
                 count,
             } => {
-                let buckets: Vec<String> = counts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let le = match bounds_us.get(i) {
-                            Some(us) => format!("{}", *us as f64 / 1e6),
-                            None => "null".to_string(),
-                        };
-                        format!("{{\"le_s\":{le},\"count\":{c}}}")
-                    })
-                    .collect();
-                format!(
-                    "\"type\":\"histogram\",\"count\":{count},\"sum_s\":{},\"buckets\":[{}]",
-                    json::num(sum.as_secs_f64()),
-                    buckets.join(",")
-                )
+                w.str("histogram").key("count").int(*count);
+                w.key("sum_s").num(sum.as_secs_f64()).key("buckets").arr();
+                for (i, c) in counts.iter().enumerate() {
+                    w.obj().key("le_s");
+                    match bounds_us.get(i) {
+                        Some(us) => w.num(*us as f64 / 1e6),
+                        None => w.null(),
+                    };
+                    w.key("count").int(*c).end_obj();
+                }
+                w.end_arr()
             }
         };
-        items.push(format!(
-            "{{\"name\":\"{}\",\"labels\":{{{}}},{body}}}",
-            json::escape(&s.name),
-            labels.join(",")
-        ));
+        w.end_obj();
     }
-    format!("{{\"metrics\":[{}]}}", items.join(","))
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 #[cfg(test)]

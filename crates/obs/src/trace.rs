@@ -335,61 +335,60 @@ pub fn to_chrome_trace(spans: &[Span]) -> String {
             SpanKind::Rollout => 3,
         }
     }
-    fn micros(d: Duration) -> String {
-        json::num(d.as_secs_f64() * 1e6)
+    fn micros(d: Duration) -> f64 {
+        d.as_secs_f64() * 1e6
     }
 
-    let mut events: Vec<String> = Vec::with_capacity(spans.len() + 8);
+    let mut w = json::Writer::new();
+    w.obj().key("traceEvents").arr();
 
     // Metadata: name each process and lane once.
     let mut pids: Vec<usize> = spans.iter().map(|s| pid(s.worker)).collect();
     pids.sort_unstable();
     pids.dedup();
-    for p in &pids {
-        let name = if *p == 0 {
+    for p in pids {
+        let name = if p == 0 {
             "coordinator".to_string()
         } else {
             format!("worker {}", p - 1)
         };
-        events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json::escape(&name)
-        ));
-        for (t, lane) in [(1u32, "requests"), (2, "updates"), (3, "rollouts")] {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":{t},\
-                 \"args\":{{\"name\":\"{lane}\"}}}}"
-            ));
+        for (t, meta, label) in [
+            (0u32, "process_name", name.as_str()),
+            (1, "thread_name", "requests"),
+            (2, "thread_name", "updates"),
+            (3, "thread_name", "rollouts"),
+        ] {
+            w.obj().key("name").str(meta).key("ph").str("M");
+            w.key("pid").int(p).key("tid").int(t);
+            w.key("args").obj().key("name").str(label);
+            w.end_obj().end_obj();
         }
     }
 
     for s in spans {
-        let mut args = format!("\"trace\":{},\"span\":{}", s.trace, s.id);
+        w.obj().key("name").str(s.name);
+        w.key("cat").str(s.kind.name());
+        w.key("ph").str("X").key("ts").num(micros(s.start));
+        w.key("dur").num(micros(s.dur));
+        w.key("pid").int(pid(s.worker)).key("tid").int(tid(s.kind));
+        w.key("args").obj().key("trace").int(s.trace);
+        w.key("span").int(s.id);
         if let Some(p) = s.parent {
-            args.push_str(&format!(",\"parent\":{p}"));
+            w.key("parent").int(p);
         }
         if let Some(u) = s.update {
-            args.push_str(&format!(",\"update\":{u}"));
+            w.key("update").int(u);
         }
         if let Some(r) = s.request {
-            args.push_str(&format!(",\"request\":{r}"));
+            w.key("request").int(r);
         }
         if let Some(d) = &s.detail {
-            args.push_str(&format!(",\"detail\":\"{}\"", json::escape(d)));
+            w.key("detail").str(d);
         }
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-            json::escape(s.name),
-            s.kind.name(),
-            micros(s.start),
-            micros(s.dur),
-            pid(s.worker),
-            tid(s.kind),
-        ));
+        w.end_obj().end_obj();
     }
-    format!("{{\"traceEvents\":[{}]}}", events.join(","))
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -487,8 +486,8 @@ mod tests {
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"parent\":1"));
         assert!(json.contains("\"pid\":1"), "worker 0 maps to pid 1");
-        // No trailing commas and balanced braces — a cheap well-formedness
-        // proxy for the hand-rolled writer.
+        // Well-formed: it parses, has no trailing commas, balances braces.
+        json::parse(&json).unwrap();
         assert!(!json.contains(",]") && !json.contains(",}"));
         let open = json.matches('{').count();
         let close = json.matches('}').count();

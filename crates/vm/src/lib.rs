@@ -13,6 +13,10 @@
 //! Executions can suspend at guest `update` points and resume after the
 //! embedding update runtime (the `dsu-core` crate) has relinked the
 //! process; frames already on the stack keep executing their old code.
+//! [`Process::snapshot`] captures every mutable binding as a
+//! [`BindingSnapshot`] with public fields; its durable JSON form lives
+//! with its only user, the snapshot ring in `dsu-core`, so this crate
+//! keeps `tal` as its one dependency.
 //!
 //! ## Example
 //!
@@ -38,7 +42,6 @@ pub mod interp;
 pub mod ops;
 pub mod process;
 pub mod profile;
-pub mod snapshot_io;
 pub mod trap;
 pub mod value;
 
@@ -50,7 +53,6 @@ pub use process::{
     Process, ProcessTypes, UpdateSignal,
 };
 pub use profile::{Profiler, SiteStats};
-pub use snapshot_io::{decode_snapshot, encode_snapshot, SnapshotCodecError};
 pub use trap::{LinkError, Trap};
 pub use value::{FnRef, FuncId, GlobalId, HostId, RecordObj, SlotId, StructId, Value};
 

@@ -132,13 +132,18 @@ pub(crate) struct StructInfo {
     pub def: TypeDef,
 }
 
-/// A snapshot of all mutable bindings, sufficient to roll back an update.
+/// A snapshot of all mutable bindings, sufficient to roll back an update
+/// (persisted by `dsu_core`'s snapshot ring).
 #[derive(Debug, Clone)]
 pub struct BindingSnapshot {
-    pub(crate) fn_by_name: HashMap<String, FuncId>,
-    pub(crate) slots: Vec<Option<FuncId>>,
-    pub(crate) struct_by_name: HashMap<String, StructId>,
-    pub(crate) globals: Vec<GlobalCell>,
+    /// Function name to the code it is bound to.
+    pub fn_by_name: HashMap<String, FuncId>,
+    /// Indirection-table slots and the code each points at.
+    pub slots: Vec<Option<FuncId>>,
+    /// Record type name to its current struct id.
+    pub struct_by_name: HashMap<String, StructId>,
+    /// Every global's declaration and value.
+    pub globals: Vec<GlobalCell>,
 }
 
 /// A running guest process. Single-threaded (guest values are `Rc`-based);
