@@ -274,6 +274,31 @@ mod tests {
     }
 
     #[test]
+    fn deep_guest_state_survives_save_and_load() {
+        // A guest linked list nests two JSON levels per node; a restarted
+        // worker must load every ring its encoder saved.
+        let src = r#"
+            struct node { v: int, next: node }
+            global head: node = null;
+            fun build(n: int): int {
+                var i: int = 0;
+                while (i < n) { head = node { v: i, next: head }; i = i + 1; }
+                return i;
+            }
+        "#;
+        let m = popcorn::compile(src, "app", "v1", &popcorn::Interface::new()).unwrap();
+        for n in [300, 2_000] {
+            let mut p = Process::new(LinkMode::Updateable);
+            p.load_module(&m).unwrap();
+            p.call("build", vec![vm::Value::Int(n)]).unwrap();
+            let mut ring = SnapshotRing::new(1);
+            ring.push("v1", "v2", p.snapshot());
+            let text = ring.save();
+            assert_eq!(SnapshotRing::load(&text).unwrap().save(), text);
+        }
+    }
+
+    #[test]
     fn retire_undone_pops_only_the_matching_transition() {
         let mut ring = SnapshotRing::new(4);
         ring.push("v1", "v2", snap());

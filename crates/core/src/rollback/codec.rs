@@ -26,25 +26,15 @@ use dsu_obs::json::{self, Json, Writer};
 use tal::text::parse_ty;
 use vm::{BindingSnapshot, FnRef, FuncId, GlobalCell, SlotId, StructId, Value};
 
-/// Rc-pointer-keyed table assigning each shared heap object an id at its
-/// first encoding.
-#[derive(Default)]
-struct ShareTable {
-    ids: HashMap<*const (), u64>,
-    next: u64,
-}
+/// Ids of the shared heap objects encoded so far, keyed by `Rc` pointer.
+type ShareTable = HashMap<*const (), u64>;
 
-impl ShareTable {
-    /// `Ok(id)` on first sight, `Err(id)` for a repeat.
-    fn visit(&mut self, ptr: *const ()) -> Result<u64, u64> {
-        match self.ids.get(&ptr) {
-            Some(&id) => Err(id),
-            None => {
-                self.next += 1;
-                self.ids.insert(ptr, self.next);
-                Ok(self.next)
-            }
-        }
+/// `Ok(id)` for a heap object's first encoding, `Err(id)` for a repeat.
+fn visit(shares: &mut ShareTable, ptr: *const ()) -> Result<u64, u64> {
+    let next = shares.len() as u64 + 1;
+    match *shares.entry(ptr).or_insert(next) {
+        id if id == next => Ok(id),
+        id => Err(id),
     }
 }
 
@@ -59,7 +49,7 @@ fn encode_value(v: &Value, shares: &mut ShareTable, w: &mut Writer) {
         Value::Fn(FnRef::Unresolved) => w.str("fn"),
         Value::Fn(FnRef::Direct(id)) => w.str("fn").key("direct").int(id.0),
         Value::Fn(FnRef::Slot(id)) => w.str("fn").key("slot").int(id.0),
-        Value::Array(a) => match shares.visit(Rc::as_ptr(a).cast()) {
+        Value::Array(a) => match visit(shares, Rc::as_ptr(a).cast()) {
             Err(id) => w.str("ref").key("id").int(id),
             Ok(id) => {
                 w.str("arr").key("id").int(id).key("v").arr();
@@ -69,7 +59,7 @@ fn encode_value(v: &Value, shares: &mut ShareTable, w: &mut Writer) {
                 w.end_arr()
             }
         },
-        Value::Record(r) => match shares.visit(Rc::as_ptr(r).cast()) {
+        Value::Record(r) => match visit(shares, Rc::as_ptr(r).cast()) {
             Err(id) => w.str("ref").key("id").int(id),
             Ok(id) => {
                 w.str("rec").key("id").int(id);
@@ -98,7 +88,7 @@ fn sorted_map<T>(w: &mut Writer, map: &HashMap<String, T>, id: impl Fn(&T) -> u3
 /// Encodes a snapshot as a single line of JSON (no interior newlines —
 /// the ring stores one snapshot per line).
 pub(crate) fn encode(snap: &BindingSnapshot) -> String {
-    let mut shares = ShareTable::default();
+    let mut shares = ShareTable::new();
     let mut w = Writer::new();
     w.obj().key("fns");
     sorted_map(&mut w, &snap.fn_by_name, |f| f.0);
@@ -137,65 +127,71 @@ fn id32(j: &Json) -> Option<u32> {
     u32::try_from(j.as_int()?).ok()
 }
 
-/// Registers a fresh heap object under its node's id before its elements
-/// are decoded, so repeats nested inside it resolve to the one object;
-/// returns the node's elements.
-fn share<'a>(
+/// Decodes one node. A fresh array or record comes back empty and already
+/// registered under its node's id, so repeats nested inside it resolve to
+/// the one object, together with the element nodes still to decode into it.
+fn decode_node<'a>(
     j: &'a Json,
-    fresh: &Value,
     shares: &mut HashMap<u64, Value>,
-) -> Result<&'a [Json], String> {
-    shares.insert(need(j, "id", Json::as_int)? as u64, fresh.clone());
-    need(j, "v", Json::as_arr)
-}
-
-fn decode_value(j: &Json, shares: &mut HashMap<u64, Value>) -> Result<Value, String> {
-    match need(j, "t", Json::as_str)? {
-        "unit" => Ok(Value::Unit),
-        "null" => Ok(Value::Null),
-        "int" => need(j, "v", |v| i64::try_from(v.as_int()?).ok()).map(Value::Int),
+) -> Result<(Value, &'a [Json]), String> {
+    let v = match need(j, "t", Json::as_str)? {
+        "unit" => Value::Unit,
+        "null" => Value::Null,
+        "int" => Value::Int(need(j, "v", |v| i64::try_from(v.as_int()?).ok())?),
         "bool" => match j.get("v") {
-            Some(Json::Bool(b)) => Ok(Value::Bool(*b)),
-            _ => Err("missing or ill-typed `v`".to_string()),
+            Some(Json::Bool(b)) => Value::Bool(*b),
+            _ => return Err("missing or ill-typed `v`".to_string()),
         },
-        "str" => need(j, "v", Json::as_str).map(Value::str),
-        "fn" => Ok(Value::Fn(if j.get("direct").is_some() {
+        "str" => Value::str(need(j, "v", Json::as_str)?),
+        "fn" => Value::Fn(if j.get("direct").is_some() {
             FnRef::Direct(FuncId(need(j, "direct", id32)?))
         } else if j.get("slot").is_some() {
             FnRef::Slot(SlotId(need(j, "slot", id32)?))
         } else {
             FnRef::Unresolved
-        })),
+        }),
         "ref" => {
             let n = need(j, "id", Json::as_int)? as u64;
             shares
                 .get(&n)
                 .cloned()
-                .ok_or_else(|| format!("ref to unseen object {n}"))
+                .ok_or_else(|| format!("ref to unseen object {n}"))?
         }
-        "arr" => {
-            let arr = Value::empty_array();
-            let Value::Array(cell) = &arr else {
-                unreachable!()
+        tag @ ("arr" | "rec") => {
+            let fresh = match tag {
+                "arr" => Value::empty_array(),
+                _ => Value::record(StructId(need(j, "sid", id32)?), Vec::new()),
             };
-            for e in share(j, &arr, shares)? {
-                let v = decode_value(e, shares)?;
-                cell.borrow_mut().push(v);
-            }
-            Ok(arr)
+            shares.insert(need(j, "id", Json::as_int)? as u64, fresh.clone());
+            return Ok((fresh, need(j, "v", Json::as_arr)?));
         }
-        "rec" => {
-            let rec = Value::record(StructId(need(j, "sid", id32)?), Vec::new());
-            let Value::Record(obj) = &rec else {
-                unreachable!()
-            };
-            for e in share(j, &rec, shares)? {
-                let v = decode_value(e, shares)?;
-                obj.fields.borrow_mut().push(v);
+        other => return Err(format!("unknown value tag `{other}`")),
+    };
+    Ok((v, &[]))
+}
+
+/// Decodes a value node and everything under it. Arrays and records still
+/// being filled wait on an explicit stack, so guest data of any depth
+/// decodes without recursion.
+fn decode_value(j: &Json, shares: &mut HashMap<u64, Value>) -> Result<Value, String> {
+    let (root, elems) = decode_node(j, shares)?;
+    let mut open = vec![(root, elems.iter())];
+    loop {
+        let (parent, elems) = open.last_mut().expect("the root stays open");
+        let Some(e) = elems.next() else {
+            let (v, _) = open.pop().expect("just inspected");
+            if open.is_empty() {
+                return Ok(v);
             }
-            Ok(rec)
+            continue;
+        };
+        let (v, elems) = decode_node(e, shares)?;
+        match parent {
+            Value::Array(a) => a.borrow_mut().push(v.clone()),
+            Value::Record(r) => r.fields.borrow_mut().push(v.clone()),
+            _ => unreachable!("only arrays and records have elements"),
         }
-        other => Err(format!("unknown value tag `{other}`")),
+        open.push((v, elems.iter()));
     }
 }
 

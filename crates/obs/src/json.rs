@@ -1,13 +1,14 @@
 //! The workspace's one JSON codec: a streaming [`Writer`] and a bounded
-//! recursive-descent [`parse`].
+//! [`parse`].
 //!
 //! Every JSON artifact the system produces — journal WAL lines, snapshot
 //! rings, metric and trace exports, report cards, bench results — is
 //! written through [`Writer`], which owns quoting, escaping and commas, so
 //! no emitter can produce an unquoted string or a bare `NaN`. Every JSON
 //! input — recovered journals and snapshot rings — is read by [`parse`],
-//! which scans strings in linear time and refuses nesting deeper than
-//! [`MAX_DEPTH`] instead of overflowing the stack on hostile input.
+//! which scans strings in linear time and keeps open containers on an
+//! explicit stack, so deep input costs heap rather than thread stack and
+//! nesting deeper than [`MAX_DEPTH`] is an error, not an abort.
 //!
 //! The writer streams straight into its buffer rather than building a
 //! [`Json`] tree and printing it: the snapshot encoder runs on serving
@@ -15,11 +16,13 @@
 
 use std::fmt::Write as _;
 
-/// Deepest array/object nesting [`parse`] accepts. The snapshot encoder,
-/// the deepest emitter, nests FlashEd's v5 state 8 levels deep (each guest
-/// array or record adds two); this bound keeps parser recursion far inside
-/// a thread stack.
-pub const MAX_DEPTH: usize = 256;
+/// Deepest array/object nesting [`parse`] accepts. The snapshot encoder
+/// nests guest data two levels per guest array or record (FlashEd's v5
+/// state: 8 levels; a guest linked list of `n` nodes: `2n + 4`), so this
+/// admits guest lists of some 32,000 nodes. Neither [`parse`] nor dropping
+/// a [`Json`] recurses, so the bound caps only the memory hostile input
+/// can claim.
+pub const MAX_DEPTH: usize = 1 << 16;
 
 /// Integer types [`Writer::int`] emits verbatim.
 pub trait Int: std::fmt::Display {}
@@ -211,6 +214,25 @@ impl Json {
     }
 }
 
+impl Drop for Json {
+    /// Frees nested values from an explicit stack, so dropping a deep
+    /// document does not recurse.
+    fn drop(&mut self) {
+        fn move_children(j: &mut Json, to: &mut Vec<Json>) {
+            match j {
+                Json::Arr(elems) => to.append(elems),
+                Json::Obj(fields) => to.extend(fields.drain(..).map(|(_, v)| v)),
+                _ => {}
+            }
+        }
+        let mut stack = Vec::new();
+        move_children(self, &mut stack);
+        while let Some(mut j) = stack.pop() {
+            move_children(&mut j, &mut stack);
+        }
+    }
+}
+
 /// Parses one JSON document (surrounding whitespace allowed).
 ///
 /// # Errors
@@ -219,7 +241,7 @@ impl Json {
 /// deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser { text, pos: 0 };
-    let v = p.value(0)?;
+    let v = p.value()?;
     p.skip_ws();
     if p.pos != text.len() {
         return Err(p.err("trailing input"));
@@ -260,42 +282,77 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    /// Reads one value. Open containers wait on an explicit stack rather
+    /// than the call stack, so depth costs heap, not thread stack.
+    fn value(&mut self) -> Result<Json, String> {
+        // Each open array or object, innermost last, with the key its
+        // next value takes (objects only).
+        let mut open: Vec<(Json, String)> = Vec::new();
+        loop {
+            self.skip_ws();
+            let mut v = match self.text.as_bytes().get(self.pos) {
+                Some(b'{' | b'[') if open.len() >= MAX_DEPTH => {
+                    return Err(self.err("nesting too deep"))
+                }
+                Some(b'[') => {
+                    self.pos += 1;
+                    if !self.eat(b']') {
+                        open.push((Json::Arr(Vec::new()), String::new()));
+                        continue;
+                    }
+                    Json::Arr(Vec::new())
+                }
+                Some(b'{') => {
+                    self.pos += 1;
+                    if !self.eat(b'}') {
+                        open.push((Json::Obj(Vec::new()), self.key()?));
+                        continue;
+                    }
+                    Json::Obj(Vec::new())
+                }
+                _ => self.scalar()?,
+            };
+            // Hand the finished value to its container, closing every
+            // container it completes.
+            loop {
+                let Some((top, key)) = open.last_mut() else {
+                    return Ok(v);
+                };
+                let close = match top {
+                    Json::Arr(elems) => {
+                        elems.push(v);
+                        b']'
+                    }
+                    Json::Obj(fields) => {
+                        fields.push((std::mem::take(key), v));
+                        b'}'
+                    }
+                    _ => unreachable!("only containers are opened"),
+                };
+                if !self.eat(close) {
+                    self.expect(b',')?;
+                    if close == b'}' {
+                        *key = self.key()?;
+                    }
+                    break;
+                }
+                v = open.pop().expect("just inspected").0;
+            }
+        }
+    }
+
+    /// Reads an object key and its colon.
+    fn key(&mut self) -> Result<String, String> {
         self.skip_ws();
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// Reads a string, number, `true`, `false` or `null` at the cursor.
+    fn scalar(&mut self) -> Result<Json, String> {
         let rest = &self.text.as_bytes()[self.pos..];
         match rest.first() {
-            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(self.err("nesting too deep")),
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.eat(b'}') {
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value(depth + 1)?));
-                    if self.eat(b'}') {
-                        return Ok(Json::Obj(fields));
-                    }
-                    self.expect(b',')?;
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut elems = Vec::new();
-                if self.eat(b']') {
-                    return Ok(Json::Arr(elems));
-                }
-                loop {
-                    elems.push(self.value(depth + 1)?);
-                    if self.eat(b']') {
-                        return Ok(Json::Arr(elems));
-                    }
-                    self.expect(b',')?;
-                }
-            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => {
