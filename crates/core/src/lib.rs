@@ -58,6 +58,7 @@ pub mod report;
 pub mod rollback;
 pub mod runtime;
 pub mod version;
+pub mod wake;
 
 pub use apply::{
     apply_patch, apply_patch_spanned, set_phase_probe, PhaseSpanLog, TransformTiming, UpdatePolicy,
@@ -75,6 +76,7 @@ pub use runtime::{
     decode_worker_state, DrainHook, Gate, PauseEvent, PauseLog, RunError, Updater, UpdaterRemote,
 };
 pub use version::VersionManager;
+pub use wake::Wake;
 
 #[cfg(test)]
 mod tests {

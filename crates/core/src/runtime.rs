@@ -11,7 +11,10 @@
 //! an [`UpdaterRemote`] lets *another thread* (a fleet coordinator) feed
 //! patches to a process it does not own, arm the process's update signal,
 //! and observe the resulting reports — the substrate of coordinated
-//! multi-worker rollouts.
+//! multi-worker rollouts. Both directions are event-driven: every remote
+//! enqueue notifies the worker's [`Wake`], and every published outcome
+//! (report, failure, pause, the end of an op's apply) notifies the
+//! updater's outcome wake a coordinator waits on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,6 +29,7 @@ use crate::apply::{apply_patch_spanned, PhaseSpanLog, UpdatePolicy};
 use crate::patch::Patch;
 use crate::report::{FailedUpdate, PhaseTimings, UpdateError, UpdateReport};
 use crate::rollback::SnapshotRing;
+use crate::wake::Wake;
 
 /// One update pause: the guest suspended (or sat quiescent) while queued
 /// patches applied. Host instrumentation (e.g. the FlashEd server's
@@ -192,6 +196,15 @@ pub struct Updater {
     /// records parent under that rollout span instead of opening fresh
     /// traces. Persists until overwritten by the next rollout.
     span_parent: Arc<Mutex<Option<(u64, u64)>>>,
+    /// The worker's wake: every remote enqueue or cancel notifies it, so
+    /// an idle worker blocked on it picks the op up at once. Hosts that
+    /// wait for several sources install their own with
+    /// [`Updater::set_wake`].
+    wake: Arc<Wake>,
+    /// Notified whenever an outcome is published (report, failure,
+    /// pause, an op leaving the in-flight count) — what a coordinator
+    /// awaiting this worker waits on (see [`UpdaterRemote::outcomes`]).
+    outcomes: Arc<Wake>,
     /// When `true` (default), a patch failure during a run aborts the run
     /// with [`RunError::Update`] instead of continuing on the old version.
     pub strict: bool,
@@ -260,6 +273,14 @@ impl Updater {
     /// [`crate::PhaseTimings::drain`] bucket.
     pub fn set_drain_hook(&self, hook: DrainHook) {
         *self.drain_hook.lock().expect("poisoned") = Some(hook);
+    }
+
+    /// Replaces the wake remote enqueues and cancels notify. A host whose
+    /// worker blocks on one wake for every source (its inbox, its read
+    /// completions, its patch queue) installs that wake here, before
+    /// handing out remotes.
+    pub fn set_wake(&mut self, wake: Arc<Wake>) {
+        self.wake = wake;
     }
 
     /// The attached journal, if any.
@@ -489,6 +510,21 @@ impl Updater {
         out
     }
 
+    /// Successful applies so far (without cloning the log).
+    pub fn applied_count(&self) -> usize {
+        self.log.lock().expect("poisoned").len()
+    }
+
+    /// Failed applies so far (without cloning the failure log).
+    pub fn failure_count(&self) -> usize {
+        self.failures.lock().expect("poisoned").len()
+    }
+
+    /// Update pauses so far (without cloning the pause log).
+    pub fn pause_count(&self) -> usize {
+        self.pauses.lock().expect("poisoned").len()
+    }
+
     /// Reports of every successfully applied update, oldest first.
     pub fn log(&self) -> Vec<UpdateReport> {
         self.log.lock().expect("poisoned").clone()
@@ -525,13 +561,17 @@ impl Updater {
             span_parent: Arc::clone(&self.span_parent),
             transitions: Arc::clone(&self.transitions),
             signal: proc.update_signal(),
+            wake: Arc::clone(&self.wake),
+            outcomes: Arc::clone(&self.outcomes),
         }
     }
 
-    /// Applies all queued patches right now. The process must be quiescent
-    /// (suspended at an update point, or with no guest code running). If a
-    /// rollout gate is set and patches are pending, the gate runs first
-    /// (inside the recorded pause).
+    /// Applies the patches queued right now. The process must be
+    /// quiescent (suspended at an update point, or with no guest code
+    /// running). If a rollout gate is set and patches are pending, the
+    /// gate runs first (inside the recorded pause). Ops queued while the
+    /// pause runs wait for the next pause — and for the gate set with
+    /// them — with the update request left armed.
     ///
     /// # Errors
     ///
@@ -539,7 +579,8 @@ impl Updater {
     /// patches stay queued). Otherwise failures are recorded in
     /// [`Updater::failures`] and the queue keeps draining.
     pub fn apply_pending(&mut self, proc: &mut Process) -> Result<usize, UpdateError> {
-        if self.pending.lock().expect("poisoned").is_empty() {
+        let batch = self.pending.lock().expect("poisoned").len();
+        if batch == 0 {
             proc.request_update(false);
             return Ok(0);
         }
@@ -614,17 +655,21 @@ impl Updater {
                 }
             }
         }
-        let result = self.drain(proc, drain_dur, began, gate_span, &mut span_ctx);
+        let result = self.drain(proc, batch, drain_dur, began, gate_span, &mut span_ctx);
         self.pauses.lock().expect("poisoned").push(PauseEvent {
             at: began,
             dur: began.elapsed(),
         });
+        self.outcomes.notify();
         result
     }
 
+    /// Applies up to `batch` queued ops (those queued when the pause
+    /// began; a cancel may leave fewer).
     fn drain(
         &mut self,
         proc: &mut Process,
+        batch: usize,
         mut drain_dur: Duration,
         pause_began: Instant,
         gate_span: Option<(Instant, Duration)>,
@@ -632,7 +677,7 @@ impl Updater {
     ) -> Result<usize, UpdateError> {
         let mut applied = 0;
         let trace = self.trace.lock().expect("poisoned").clone();
-        loop {
+        for _ in 0..batch {
             // The op leaves the queue but its outcome is not published
             // yet: keep it counted in `pending_count` until the end of
             // this iteration, after the report or failure lands. The
@@ -645,7 +690,7 @@ impl Updater {
                 let Some(queued) = pending.pop_front() else {
                     break;
                 };
-                (queued, InFlightGuard::arm(&self.in_flight))
+                (queued, InFlightGuard::arm(&self.in_flight, &self.outcomes))
             };
             let op_began = Instant::now();
             let mut phase_log = span_ctx.as_ref().map(|_| PhaseSpanLog::default());
@@ -783,7 +828,7 @@ impl Updater {
                 }
             }
         }
-        proc.request_update(false);
+        proc.request_update(!self.pending.lock().expect("poisoned").is_empty());
         Ok(applied)
     }
 
@@ -837,19 +882,22 @@ impl Updater {
 
 /// Holds one mid-apply op inside [`Updater::pending_count`] from its pop
 /// off the queue until its outcome is published (normally, on an early
-/// strict-mode return, or during a panic unwind alike).
-struct InFlightGuard(Arc<AtomicUsize>);
+/// strict-mode return, or during a panic unwind alike). The drop
+/// notifies the outcome wake: the op's report or failure is visible and
+/// it no longer counts as pending.
+struct InFlightGuard(Arc<AtomicUsize>, Arc<Wake>);
 
 impl InFlightGuard {
-    fn arm(count: &Arc<AtomicUsize>) -> InFlightGuard {
+    fn arm(count: &Arc<AtomicUsize>, outcomes: &Arc<Wake>) -> InFlightGuard {
         count.fetch_add(1, Ordering::SeqCst);
-        InFlightGuard(Arc::clone(count))
+        InFlightGuard(Arc::clone(count), Arc::clone(outcomes))
     }
 }
 
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
+        self.1.notify();
     }
 }
 
@@ -913,10 +961,17 @@ pub fn decode_worker_state(text: &str) -> Result<(Vec<Patch>, String), String> {
     Ok((chain, rest[..len].to_string()))
 }
 
-/// Queues an operation, assigning it a journal lifecycle id and emitting
-/// the `Enqueued` event when tracing is on (shared by [`Updater::enqueue`]
-/// and [`UpdaterRemote::enqueue`] and their rollback variants).
+/// Queues an operation (see [`traced_op`]); shared by
+/// [`Updater::enqueue`] and [`UpdaterRemote::enqueue`] and their rollback
+/// variants.
 fn enqueue_traced(pending: &Mutex<VecDeque<QueuedOp>>, trace: &Mutex<Option<Trace>>, kind: OpKind) {
+    let queued = traced_op(trace, kind);
+    pending.lock().expect("poisoned").push_back(queued);
+}
+
+/// Wraps `kind` as a queued op, assigning it a journal lifecycle id and
+/// emitting the `Enqueued` event when tracing is on.
+fn traced_op(trace: &Mutex<Option<Trace>>, kind: OpKind) -> QueuedOp {
     let t = trace.lock().expect("poisoned").clone();
     let update = match &t {
         Some(t) => t.journal.next_update_id(),
@@ -934,7 +989,7 @@ fn enqueue_traced(pending: &Mutex<VecDeque<QueuedOp>>, trace: &Mutex<Option<Trac
             None,
         );
     }
-    pending.lock().expect("poisoned").push_back(queued);
+    queued
 }
 
 /// The `(from, to)` a snapshot rollback enqueued *now* would report: the
@@ -954,8 +1009,9 @@ fn rollback_transition(transitions: &Mutex<Vec<(String, String)>>) -> (String, S
 /// transitions backwards (newest first). Each hop's versions are resolved
 /// now from the Send-safe mirror so every journal lifecycle names its own
 /// leg of the chain; apply pops the real ring sequentially, so the hops
-/// line up as long as nothing else races the ring. Returns the number of
-/// hops actually queued (clamped to the mirror's length).
+/// line up as long as nothing else races the ring. The hops join the
+/// queue under one lock, so one pause applies the whole chain. Returns
+/// the number of hops actually queued (clamped to the mirror's length).
 fn enqueue_chain(
     pending: &Mutex<VecDeque<QueuedOp>>,
     trace: &Mutex<Option<Trace>>,
@@ -964,16 +1020,21 @@ fn enqueue_chain(
 ) -> usize {
     let trans = transitions.lock().expect("poisoned").clone();
     let n = hops.min(trans.len());
-    for (from, to) in trans.iter().rev().take(n) {
-        enqueue_traced(
-            pending,
-            trace,
-            OpKind::Restore {
-                from: to.clone(),
-                to: from.clone(),
-            },
-        );
-    }
+    let ops: Vec<QueuedOp> = trans
+        .iter()
+        .rev()
+        .take(n)
+        .map(|(from, to)| {
+            traced_op(
+                trace,
+                OpKind::Restore {
+                    from: to.clone(),
+                    to: from.clone(),
+                },
+            )
+        })
+        .collect();
+    pending.lock().expect("poisoned").extend(ops);
     n
 }
 
@@ -1163,6 +1224,8 @@ pub struct UpdaterRemote {
     span_parent: Arc<Mutex<Option<(u64, u64)>>>,
     transitions: Arc<Mutex<Vec<(String, String)>>>,
     signal: UpdateSignal,
+    wake: Arc<Wake>,
+    outcomes: Arc<Wake>,
 }
 
 impl std::fmt::Debug for UpdaterRemote {
@@ -1189,6 +1252,7 @@ impl UpdaterRemote {
             },
         );
         self.signal.arm();
+        self.wake.notify();
     }
 
     /// Queues an *inverse* patch on the worker: a downgrade whose reverse
@@ -1205,6 +1269,7 @@ impl UpdaterRemote {
             },
         );
         self.signal.arm();
+        self.wake.notify();
     }
 
     /// Queues a snapshot rollback on the worker: pop its snapshot ring
@@ -1214,6 +1279,7 @@ impl UpdaterRemote {
         let (from, to) = rollback_transition(&self.transitions);
         enqueue_traced(&self.pending, &self.trace, OpKind::Restore { from, to });
         self.signal.arm();
+        self.wake.notify();
     }
 
     /// Queues a rollback *chain* on the worker: up to `hops` snapshot
@@ -1224,6 +1290,7 @@ impl UpdaterRemote {
         let n = enqueue_chain(&self.pending, &self.trace, &self.transitions, hops);
         if n > 0 {
             self.signal.arm();
+            self.wake.notify();
         }
         n
     }
@@ -1235,7 +1302,10 @@ impl UpdaterRemote {
     /// coordinator holds a rollout or defuses a stalled worker without
     /// letting the withdrawn patch land later.
     pub fn cancel_pending(&self, reason: &str) -> usize {
-        cancel_traced(&self.pending, &self.trace, reason)
+        let n = cancel_traced(&self.pending, &self.trace, reason);
+        self.wake.notify();
+        self.outcomes.notify();
+        n
     }
 
     /// The `(from, to)` transitions whose pre-update snapshots the
@@ -1300,5 +1370,18 @@ impl UpdaterRemote {
     /// Update pauses recorded so far, oldest first.
     pub fn pauses(&self) -> Vec<PauseEvent> {
         self.pauses.lock().expect("poisoned").clone()
+    }
+
+    /// Update pauses so far (without cloning the pause log).
+    pub fn pause_count(&self) -> usize {
+        self.pauses.lock().expect("poisoned").len()
+    }
+
+    /// The wake notified whenever this worker publishes an outcome: a
+    /// report, a failure, a pause, an op leaving the in-flight count, a
+    /// cancel. A coordinator reads its epoch, checks the counts, and
+    /// waits on it instead of polling.
+    pub fn outcomes(&self) -> &Wake {
+        &self.outcomes
     }
 }

@@ -23,6 +23,10 @@
 //! * **The acceptor** — a thread draining the legacy shared ingress queue
 //!   through [`Edge::submit`], so existing `push_requests` callers work
 //!   unchanged. Load generators bypass it and call `submit` directly.
+//!   It blocks on the ingress [`Wake`] (notified by
+//!   [`ServerShared::push_requests`] and by stop) while the queue is
+//!   empty, and every inbox push notifies its worker's wake, so neither
+//!   side of the hand-off polls.
 //!
 //! Requests are stamped with their admission instant; workers propagate
 //! it into [`Completion::queue_wait`], so end-to-end sojourn
@@ -35,6 +39,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use dsu_core::Wake;
 
 use crate::http::Response;
 use crate::server::{Completion, ServerShared};
@@ -176,12 +182,14 @@ pub struct Routed {
 
 /// One worker's bounded inbox. The acceptor pushes, the owning worker
 /// pops; the depth mirror is a lock-free atomic so routing and gauges
-/// read it without taking the queue lock.
+/// read it without taking the queue lock. Every push notifies the
+/// inbox's [`Wake`], which the owning worker blocks on while idle.
 pub struct Inbox {
     q: Mutex<VecDeque<Routed>>,
     depth: AtomicUsize,
     capacity: usize,
     shed: AtomicU64,
+    wake: Arc<Wake>,
 }
 
 impl fmt::Debug for Inbox {
@@ -205,7 +213,14 @@ impl Inbox {
             depth: AtomicUsize::new(0),
             capacity,
             shed: AtomicU64::new(0),
+            wake: Arc::new(Wake::new()),
         }
+    }
+
+    /// The wake every push notifies: the owning worker's wake (its patch
+    /// queue and read completions notify it too).
+    pub(crate) fn wake(&self) -> &Arc<Wake> {
+        &self.wake
     }
 
     /// Enqueues `routed` unless the inbox is full. Returns the new depth
@@ -221,6 +236,8 @@ impl Inbox {
         q.push_back(routed);
         let depth = q.len();
         self.depth.store(depth, Ordering::Relaxed);
+        drop(q);
+        self.wake.notify();
         Ok(depth)
     }
 
@@ -682,36 +699,44 @@ impl Edge {
 
     /// Spawns the acceptor: a thread draining the shared ingress queue
     /// through [`Edge::submit`], so legacy `push_requests` traffic flows
-    /// into the routed inboxes. Returns its handle; the fleet stops it
-    /// at shutdown.
+    /// into the routed inboxes. While the queue is empty it blocks on the
+    /// ingress wake. Returns its handle; the fleet stops it at shutdown.
     pub fn start_acceptor(edge: &Arc<Edge>) -> AcceptorHandle {
         let stop = Arc::new(AtomicBool::new(false));
+        let ingress = Arc::clone(edge.shared.ingress_wake());
         let edge = Arc::clone(edge);
-        let stop_t = Arc::clone(&stop);
+        let (stop_t, ingress_t) = (Arc::clone(&stop), Arc::clone(&ingress));
         let join = std::thread::Builder::new()
             .name("flashed-acceptor".to_string())
             .spawn(move || {
+                let ingress = ingress_t;
                 let mut routed: u64 = 0;
                 loop {
-                    match edge.shared.pop_request() {
-                        Some(req) => {
-                            // Sheds are absorbed here (counted, 503'd);
-                            // the ingress queue has no one to backpressure.
-                            let _ = edge.submit(req);
-                            routed += 1;
-                        }
-                        None => {
-                            if stop_t.load(Ordering::Relaxed) {
-                                return routed;
-                            }
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
+                    let seen = ingress.epoch();
+                    let mut drained = false;
+                    while let Some(req) = edge.shared.pop_request() {
+                        // Sheds are absorbed here (counted, 503'd); the
+                        // ingress queue has no one to backpressure.
+                        let _ = edge.submit(req);
+                        routed += 1;
+                        drained = true;
                     }
+                    if drained {
+                        // An emptied ingress queue is progress a drain
+                        // may be waiting for (a shed without a 503
+                        // leaves no completion behind).
+                        edge.shared.progress_wake().notify();
+                    }
+                    if stop_t.load(Ordering::SeqCst) {
+                        return routed;
+                    }
+                    ingress.wait(seen, None);
                 }
             })
             .expect("spawn acceptor");
         AcceptorHandle {
             stop,
+            ingress,
             join: Some(join),
         }
     }
@@ -721,6 +746,8 @@ impl Edge {
 #[derive(Debug)]
 pub struct AcceptorHandle {
     stop: Arc<AtomicBool>,
+    /// The wake the acceptor blocks on; stop notifies it.
+    ingress: Arc<Wake>,
     join: Option<JoinHandle<u64>>,
 }
 
@@ -732,7 +759,8 @@ impl AcceptorHandle {
     }
 
     fn finish(&mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        self.ingress.notify();
         match self.join.take() {
             Some(j) => j.join().unwrap_or(0),
             None => 0,

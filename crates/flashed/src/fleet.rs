@@ -27,15 +27,23 @@
 //! [`FleetUpdateReport`] — the rest of the fleet still rolls forward.
 //! Deliberate misbehaviour for hardening tests is threaded in per worker
 //! through [`WorkerOverride::fault`] (see [`crate::fault::FaultPlan`]).
+//!
+//! Nothing here polls. An idle worker blocks on its [`Wake`], which its
+//! inbox (or the shared ingress queue), its read helpers, its patch
+//! queue, fault injection and shutdown all notify. The coordinator waits
+//! on a worker's outcome wake (reports, failures, pauses) or on the
+//! completion wake, up to the rollout deadline. The supervisor blocks
+//! until a worker thread signals its own exit — from a drop guard, so a
+//! panic signals too — and then joins it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dsu_core::{FleetUpdateReport, Patch, UpdaterRemote};
+use dsu_core::{FleetUpdateReport, Patch, UpdaterRemote, Wake};
 use dsu_obs::trace::{Span, SpanKind};
 use dsu_obs::{Journal, Tracer};
 use vm::LinkMode;
@@ -387,25 +395,14 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// How long an idle worker waits for control traffic before rechecking
-/// the queue. Bounds both shutdown latency and the time for an idle
-/// worker to join a rollout.
-const IDLE_WAIT: Duration = Duration::from_micros(500);
-
 /// How long a rollout waits for a worker to apply before giving up.
 const ROLLOUT_DEADLINE: Duration = Duration::from_secs(30);
 
-enum Ctrl {
-    Shutdown,
-}
-
-/// Supervision knobs: how fast death is noticed and how patiently (and
-/// how often) a dead worker is rebooted before the fleet degrades.
+/// Supervision knobs: how patiently (and how often) a dead worker is
+/// rebooted before the fleet degrades. Death itself is noticed at once:
+/// every worker thread signals its exit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// How often the supervisor sweeps the fleet for dead workers —
-    /// bounds detection latency.
-    pub poll: Duration,
     /// Backoff before the first restart of a worker; doubles on each
     /// consecutive restart of the same worker.
     pub backoff_base: Duration,
@@ -421,7 +418,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
-            poll: Duration::from_micros(500),
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(50),
             max_restarts: 3,
@@ -483,6 +479,8 @@ struct WorkerLinks {
 /// What a worker thread reports over its boot channel once serving.
 struct BootInfo {
     remote: UpdaterRemote,
+    /// The wake the worker blocks on while idle.
+    wake: Arc<Wake>,
     fault: Arc<Mutex<FaultPlan>>,
     /// Time spent replaying persisted state (zero for a first boot).
     replayed: Duration,
@@ -490,10 +488,48 @@ struct BootInfo {
     replayed_to: String,
 }
 
-/// One incarnation of a worker: control channel, live links, and the
-/// thread to reap. Swapped wholesale by the supervisor on restart.
+/// Tells one worker incarnation to stop: explicitly at shutdown, or when
+/// its seat is dropped (a replaced incarnation, a fleet dropped without
+/// [`Fleet::shutdown`]).
+struct StopSignal {
+    flag: Arc<AtomicBool>,
+    /// The worker's wake, notified so an idle worker sees the flag.
+    wake: Arc<Wake>,
+}
+
+impl StopSignal {
+    fn raise(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        self.wake.notify();
+    }
+}
+
+impl Drop for StopSignal {
+    fn drop(&mut self) {
+        self.raise();
+    }
+}
+
+/// Dropped as a worker thread's last act — on return and during a panic
+/// unwind alike: marks the incarnation exited and wakes the supervisor.
+struct ExitSignal {
+    exited: Arc<AtomicBool>,
+    exits: Arc<Wake>,
+}
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        self.exited.store(true, Ordering::SeqCst);
+        self.exits.notify();
+    }
+}
+
+/// One incarnation of a worker: stop signal, live links, and the thread
+/// to reap. Swapped wholesale by the supervisor on restart.
 struct Seat {
-    ctrl: mpsc::Sender<Ctrl>,
+    stop: StopSignal,
+    /// Set by the thread's [`ExitSignal`] once it has exited.
+    exited: Arc<AtomicBool>,
     links: WorkerLinks,
     /// `None` after the supervisor reaped a dead incarnation (and before
     /// a successful respawn).
@@ -538,8 +574,12 @@ impl Worker {
         self.failed.load(Ordering::SeqCst)
     }
 
-    fn fault_handle(&self) -> Arc<Mutex<FaultPlan>> {
-        Arc::clone(&self.seat.lock().expect("poisoned").links.fault)
+    /// Arms `plan` on the current incarnation and wakes it, so an idle
+    /// worker passes its crash seams at once.
+    fn inject_fault(&self, plan: FaultPlan) {
+        let seat = self.seat.lock().expect("poisoned");
+        *seat.links.fault.lock().expect("poisoned") = plan;
+        seat.stop.wake.notify();
     }
 }
 
@@ -557,6 +597,9 @@ struct RespawnSpec {
     shared: ServerShared,
     telemetry: Option<Arc<FleetTelemetry>>,
     edge: Option<Arc<Edge>>,
+    /// Notified by every worker thread as it exits: the supervisor
+    /// blocks on it.
+    exits: Arc<Wake>,
 }
 
 /// The supervisor-shared heart of a [`Fleet`]: the worker table plus the
@@ -571,12 +614,15 @@ struct FleetState {
 /// shutdown so a restart never races the teardown.
 struct SupervisorHandle {
     stop: Arc<AtomicBool>,
+    /// The wake the supervisor blocks on; stop notifies it.
+    exits: Arc<Wake>,
     join: JoinHandle<()>,
 }
 
 impl SupervisorHandle {
     fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.exits.notify();
         let _ = self.join.join();
     }
 }
@@ -702,6 +748,7 @@ impl Fleet {
             shared: shared.clone(),
             telemetry: telemetry.clone(),
             edge: edge.clone(),
+            exits: Arc::new(Wake::new()),
         };
         let mut workers = Vec::with_capacity(n);
         let mut boot_err = None;
@@ -727,7 +774,7 @@ impl Fleet {
         if let Some(e) = boot_err {
             for w in workers {
                 let seat = w.seat.into_inner().expect("poisoned");
-                let _ = seat.ctrl.send(Ctrl::Shutdown);
+                seat.stop.raise();
                 if let Some(join) = seat.join {
                     let _ = join.join();
                 }
@@ -828,10 +875,7 @@ impl Fleet {
     /// delays take effect at the worker's next pass through the matching
     /// seam, no reboot needed.
     pub fn inject_worker_fault(&self, worker: usize, plan: FaultPlan) {
-        *self.state.workers[worker]
-            .fault_handle()
-            .lock()
-            .expect("poisoned") = plan;
+        self.state.workers[worker].inject_fault(plan);
     }
 
     /// Starts (or stops) failing every device read on a *live* worker —
@@ -858,7 +902,8 @@ impl Fleet {
     }
 
     /// `worker`'s liveness heartbeat: bumped by the worker every serve
-    /// loop iteration, preserved across supervised restarts.
+    /// loop iteration (an idle worker blocks, so it only moves on
+    /// events), preserved across supervised restarts.
     pub fn worker_heartbeat(&self, worker: usize) -> u64 {
         let seat = self.state.workers[worker].seat.lock().expect("poisoned");
         seat.links.heartbeat.load(Ordering::Relaxed)
@@ -884,31 +929,29 @@ impl Fleet {
     }
 
     /// Blocks until the shared queue is empty and every pulled request has
-    /// completed (`expected` = completions expected so far).
+    /// completed (`expected` = completions expected so far). Waits on the
+    /// completion wake: every response and every emptied ingress queue
+    /// re-checks.
     ///
     /// # Errors
     ///
     /// Errors if the fleet does not drain within the deadline.
     pub fn drain(&self, expected: usize) -> Result<(), FleetError> {
         let deadline = Instant::now() + self.rollout_deadline;
-        loop {
-            let edge_queued = self.edge.as_ref().map_or(0, |e| e.queued());
-            if self.shared.queue_len() == 0
-                && edge_queued == 0
+        let drained = self.shared.progress_wake().wait_for(Some(deadline), || {
+            self.shared.queue_len() == 0
+                && self.edge.as_ref().map_or(0, |e| e.queued()) == 0
                 && self.shared.completions_len() >= expected
-            {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(FleetError::QueueStall {
-                    ingress: self.shared.queue_len(),
-                    per_worker: self.edge.as_ref().map_or_else(Vec::new, |e| e.depths()),
-                    completed: self.shared.completions_len(),
-                    expected,
-                });
-            }
-            thread::sleep(Duration::from_micros(200));
+        });
+        if drained {
+            return Ok(());
         }
+        Err(FleetError::QueueStall {
+            ingress: self.shared.queue_len(),
+            per_worker: self.edge.as_ref().map_or_else(Vec::new, |e| e.depths()),
+            completed: self.shared.completions_len(),
+            expected,
+        })
     }
 
     /// Rolls `patch` out to every worker through `plan`, blocking until
@@ -987,14 +1030,7 @@ impl Fleet {
         self.state
             .workers
             .iter()
-            .map(|w| {
-                let remote = w.remote();
-                (
-                    remote.applied_count(),
-                    remote.failure_count(),
-                    remote.pauses().len(),
-                )
-            })
+            .map(|w| baseline(&w.remote()))
             .collect()
     }
 
@@ -1047,7 +1083,10 @@ impl Fleet {
     }
 
     /// Waits until `worker` has resolved `n` more patches than its
-    /// baseline (a rollback *chain* resolves several in one pause).
+    /// baseline (a rollback *chain* resolves several in one pause), on
+    /// the outcome wake of the incarnation the patches went to. The
+    /// supervisor notifies that wake too when it gives the worker up or
+    /// replaces it.
     pub(crate) fn await_worker_n(
         &self,
         worker: &Worker,
@@ -1056,23 +1095,23 @@ impl Fleet {
         epoch0: u64,
     ) -> Result<(), FleetError> {
         let deadline = Instant::now() + self.rollout_deadline;
-        loop {
+        let remote = worker.remote();
+        let mut verdict = Err(FleetError::RolloutStalled { worker: worker.id });
+        remote.outcomes().wait_for(Some(deadline), || {
             if worker.has_failed() {
-                return Err(FleetError::WorkerDown { worker: worker.id });
+                verdict = Err(FleetError::WorkerDown { worker: worker.id });
+            } else if worker.epoch() != epoch0 {
+                verdict = Err(FleetError::WorkerRestarted { worker: worker.id });
+            } else {
+                let resolved = remote.applied_count() + remote.failure_count();
+                if resolved < applied0 + failed0 + n || remote.pending_count() > 0 {
+                    return false;
+                }
+                verdict = Ok(());
             }
-            if worker.epoch() != epoch0 {
-                return Err(FleetError::WorkerRestarted { worker: worker.id });
-            }
-            let remote = worker.remote();
-            let resolved = remote.applied_count() + remote.failure_count();
-            if resolved >= applied0 + failed0 + n && remote.pending_count() == 0 {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(FleetError::RolloutStalled { worker: worker.id });
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
+            true
+        });
+        verdict
     }
 
     /// Stops every worker and returns the per-worker served-request counts
@@ -1096,7 +1135,7 @@ impl Fleet {
             acceptor.stop();
         }
         for w in &self.state.workers {
-            let _ = w.seat.lock().expect("poisoned").ctrl.send(Ctrl::Shutdown);
+            w.seat.lock().expect("poisoned").stop.raise();
         }
         let mut served = Vec::with_capacity(self.state.workers.len());
         let mut first_err: Option<FleetError> = None;
@@ -1136,6 +1175,16 @@ impl Fleet {
     }
 }
 
+/// A worker's `(applied, failed, pauses)` counts: the baseline a rollout
+/// step measures its outcome against.
+pub(crate) fn baseline(remote: &UpdaterRemote) -> (usize, usize, usize) {
+    (
+        remote.applied_count(),
+        remote.failure_count(),
+        remote.pause_count(),
+    )
+}
+
 /// Everything one worker thread needs, bundled (the spawn site builds it
 /// from the [`RespawnSpec`]).
 struct WorkerCtx {
@@ -1162,7 +1211,8 @@ fn spawn_worker(
     heartbeat: Arc<AtomicU64>,
     state_slot: Arc<Mutex<Option<String>>>,
 ) -> Result<Seat, WorkerFailure> {
-    let (ctrl_tx, ctrl_rx) = mpsc::channel();
+    let stop = Arc::new(AtomicBool::new(false));
+    let exited = Arc::new(AtomicBool::new(false));
     let (boot_tx, boot_rx) = mpsc::channel();
     let ctx = WorkerCtx {
         server: ServerConfig {
@@ -1181,13 +1231,25 @@ fn spawn_worker(
         heartbeat: Arc::clone(&heartbeat),
         state_slot: Arc::clone(&state_slot),
     };
+    let exit = ExitSignal {
+        exited: Arc::clone(&exited),
+        exits: Arc::clone(&spec.exits),
+    };
+    let stop_t = Arc::clone(&stop);
     let join = thread::Builder::new()
         .name(format!("flashed-worker-{id}"))
-        .spawn(move || worker_main(ctx, ctrl_rx, boot_tx))
+        .spawn(move || {
+            let _exit = exit;
+            worker_main(ctx, &stop_t, boot_tx)
+        })
         .map_err(|e| WorkerFailure::Spawn(e.to_string()))?;
     match boot_rx.recv() {
         Ok(Ok(info)) => Ok(Seat {
-            ctrl: ctrl_tx,
+            stop: StopSignal {
+                flag: stop,
+                wake: info.wake,
+            },
+            exited,
             links: WorkerLinks {
                 remote: info.remote,
                 fault: info.fault,
@@ -1209,31 +1271,39 @@ fn spawn_worker(
     }
 }
 
-/// Starts the supervisor thread sweeping `state` for dead workers.
+/// Starts the supervisor thread, blocked on `state`'s exit wake.
 fn start_supervisor(state: Arc<FleetState>, cfg: SupervisorConfig) -> SupervisorHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_t = Arc::clone(&stop);
+    let exits = Arc::clone(&state.spec.exits);
     let join = thread::Builder::new()
         .name("flashed-supervisor".to_string())
         .spawn(move || supervisor_main(&state, cfg, &stop_t))
         .expect("supervisor thread spawns");
-    SupervisorHandle { stop, join }
+    SupervisorHandle { stop, exits, join }
 }
 
-/// The supervisor loop: detect a dead worker (its thread finished without
-/// being asked to), fail its traffic over at the edge, withdraw its
-/// in-flight patches, and — within the restart budget, after a capped
-/// exponential backoff — reboot it from its persisted crash-durable
-/// state, restore its vnode ownership, and log a [`RestartReport`].
+/// The supervisor loop: block until a worker thread signals its exit
+/// (without being asked to stop), then join it, fail its traffic over at
+/// the edge, withdraw its in-flight patches, and — within the restart
+/// budget, after a capped exponential backoff — reboot it from its
+/// persisted crash-durable state, restore its vnode ownership, and log a
+/// [`RestartReport`]. A failed respawn is retried at once.
 fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
+    let exits = &state.spec.exits;
+    loop {
+        let seen = exits.epoch();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut retry = false;
         for w in &state.workers {
             if w.has_failed() {
                 continue;
             }
             let dead = {
                 let seat = w.seat.lock().expect("poisoned");
-                seat.join.as_ref().is_none_or(JoinHandle::is_finished)
+                seat.join.is_none() || seat.exited.load(Ordering::SeqCst)
             };
             if !dead {
                 continue;
@@ -1271,6 +1341,7 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                 // down, the edge keeps routing around it, shutdown
                 // reports `GaveUp`.
                 w.failed.store(true, Ordering::SeqCst);
+                old_links.remote.outcomes().notify();
                 continue;
             }
             let detect = detect_began.elapsed();
@@ -1300,8 +1371,10 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                     w.restarts.fetch_add(1, Ordering::SeqCst);
                     w.up.store(true, Ordering::SeqCst);
                     // Epoch bump last: an await that sees the new epoch
-                    // must also see the new seat.
+                    // must also see the new seat. Awaits block on the dead
+                    // incarnation's outcome wake.
                     w.epoch.fetch_add(1, Ordering::SeqCst);
+                    old_links.remote.outcomes().notify();
                     if let Some(t) = &state.spec.telemetry {
                         t.set_worker_up(w.id, true);
                         t.record_worker_restart();
@@ -1336,10 +1409,13 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                     // Seat stays reaped (`join` is `None`); the next sweep
                     // retries until the budget runs out.
                     w.restarts.fetch_add(1, Ordering::SeqCst);
+                    retry = true;
                 }
             }
         }
-        thread::sleep(cfg.poll);
+        if !retry {
+            exits.wait(seen, None);
+        }
     }
 }
 
@@ -1370,7 +1446,10 @@ fn restore_worker(server: &mut Server, blob: &str, boot_version: &str) -> Result
 /// How far a worker's apply history has moved — the trigger for
 /// re-persisting its crash-durable state.
 fn history_mark(server: &Server) -> (usize, usize) {
-    (server.updater.log().len(), server.updater.failures().len())
+    (
+        server.updater.applied_count(),
+        server.updater.failure_count(),
+    )
 }
 
 /// Persists the worker's crash-durable state (net patch chain + snapshot
@@ -1380,14 +1459,15 @@ fn persist_state(server: &Server, slot: &Mutex<Option<String>>) {
 }
 
 /// One worker: boots its own server against the shared state, then serves
-/// until told to shut down, applying patches fed through its remote at
-/// update points (busy) or quiescent boundaries (idle). A respawned
-/// worker first replays its persisted state back to its pre-crash
-/// version. Each loop iteration bumps the heartbeat, re-persists state
-/// when the apply history moved, and passes the injectable crash seams.
+/// until told to stop, applying patches fed through its remote at update
+/// points (busy) or quiescent boundaries (idle). A respawned worker first
+/// replays its persisted state back to its pre-crash version. Each loop
+/// iteration bumps the heartbeat, re-persists state when the apply
+/// history moved, and passes the injectable crash seams; with nothing
+/// served and nothing applied, it blocks on the server's wake.
 fn worker_main(
     ctx: WorkerCtx,
-    ctrl: mpsc::Receiver<Ctrl>,
+    stop: &AtomicBool,
     boot_tx: mpsc::Sender<Result<BootInfo, String>>,
 ) -> Result<i64, String> {
     let mut server = match Server::start_cfg(&ctx.server, &ctx.src, &ctx.version, ctx.fs) {
@@ -1429,9 +1509,11 @@ fn worker_main(
     };
     // "Mid-soak" means an update landed in *this* incarnation — replay
     // hops don't count, or a restart after a crash would re-crash.
-    let soak_base = server.updater.log().len();
+    let soak_base = server.updater.applied_count();
+    let wake = Arc::clone(server.wake());
     let info = BootInfo {
         remote: server.remote(),
+        wake: Arc::clone(&wake),
         fault: Arc::clone(&fault),
         replayed,
         replayed_to,
@@ -1450,6 +1532,9 @@ fn worker_main(
     };
     let mut total = 0i64;
     loop {
+        // Read before any source is checked: whatever arrives from here
+        // on makes the idle wait below return at once.
+        let seen = wake.epoch();
         ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
         // Quiescent boundary: re-persist crash-durable state whenever the
         // apply history moved since the last persist.
@@ -1458,15 +1543,12 @@ fn worker_main(
             persist_state(&server, &ctx.state_slot);
             persisted = mark;
         }
-        if server.updater.log().len() > soak_base {
+        if mark.0 > soak_base {
             crash_if_armed(&fault, CrashPoint::MidSoak);
         }
         crash_if_armed(&fault, CrashPoint::Serving);
-        match ctrl.try_recv() {
-            Ok(Ctrl::Shutdown) | Err(TryRecvError::Disconnected) => {
-                return finish(&server, Ok(total))
-            }
-            Err(TryRecvError::Empty) => {}
+        if stop.load(Ordering::SeqCst) {
+            return finish(&server, Ok(total));
         }
         // A patch that arrived while the queue was empty never meets an
         // update point (the guest exits its serve loop without passing
@@ -1478,12 +1560,12 @@ fn worker_main(
             }
         }
         match server.serve() {
-            Ok(0) => match ctrl.recv_timeout(IDLE_WAIT) {
-                Ok(Ctrl::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                    return finish(&server, Ok(total))
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-            },
+            // Idle: block until a request, a read completion, a patch, a
+            // fault or the stop arrives. An apply this pass loops first,
+            // so the new history is persisted and the seams passed.
+            Ok(0) if history_mark(&server) == persisted => {
+                wake.wait(seen, None);
+            }
             Ok(n) => total += n,
             Err(e) => return finish(&server, Err(e.to_string())),
         }

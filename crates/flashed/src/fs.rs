@@ -10,15 +10,18 @@
 //!   device latency (the blocking thread-per-worker regime);
 //! * [`AsyncFs`] — readiness/completion: [`AsyncFs::submit`] returns a
 //!   [`ReadTicket`] immediately, a helper pool absorbs the device wait
-//!   off-loop and posts [`ReadCompletion`]s to a queue the event loop
-//!   polls, and an LRU [`BufferCache`] makes repeat reads complete
-//!   without touching the (simulated) device at all.
+//!   off-loop, posts [`ReadCompletion`]s to a queue and notifies the
+//!   event loop's [`Wake`], and an LRU [`BufferCache`] makes repeat reads
+//!   complete without touching the (simulated) device at all. Cached
+//!   content is shared (`Arc<str>`), so a hit copies no bytes.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use dsu_core::Wake;
 
 use crate::rng::Rng;
 
@@ -188,12 +191,13 @@ pub struct ReadCompletion {
     /// The path that was read.
     pub path: String,
     /// The content, or `None` when the file does not exist.
-    pub content: Option<String>,
+    pub content: Option<Arc<str>>,
 }
 
 /// An LRU cache over file contents with hit/miss counters — the buffer
 /// cache the AMPED helpers warm. Thread-safe; shared between the event
-/// loop (lookups) and the helper pool (inserts).
+/// loop (lookups) and the helper pool (inserts). Every access is
+/// `O(log n)`: recency is a stamp per entry, ordered in a `BTreeMap`.
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
@@ -207,9 +211,24 @@ pub struct BufferCache {
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: HashMap<String, String>,
-    /// Recency order, least-recently-used first.
-    order: VecDeque<String>,
+    /// Path → (content, recency stamp).
+    entries: HashMap<String, (Arc<str>, u64)>,
+    /// Recency stamp → path, least-recently-used first.
+    order: BTreeMap<u64, String>,
+    /// The last stamp handed out; stamps only grow.
+    clock: u64,
+}
+
+impl CacheInner {
+    /// Makes `path` the most recently used entry, returning its content.
+    fn touch(&mut self, path: &str) -> Option<Arc<str>> {
+        let (content, stamp) = self.entries.get_mut(path)?;
+        let key = self.order.remove(stamp).expect("order mirrors entries");
+        self.clock += 1;
+        *stamp = self.clock;
+        self.order.insert(self.clock, key);
+        Some(Arc::clone(content))
+    }
 }
 
 impl BufferCache {
@@ -227,7 +246,7 @@ impl BufferCache {
     /// Counting lookup: bumps the hit or miss counter and the entry's
     /// recency. The admission path uses this; the serve path, which would
     /// double-count, uses [`BufferCache::peek`].
-    pub fn lookup(&self, path: &str) -> Option<String> {
+    pub fn lookup(&self, path: &str) -> Option<Arc<str>> {
         let got = self.peek(path);
         if got.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -238,32 +257,30 @@ impl BufferCache {
     }
 
     /// Non-counting lookup (still bumps recency).
-    pub fn peek(&self, path: &str) -> Option<String> {
-        let mut inner = self.inner.lock().expect("poisoned");
-        let got = inner.entries.get(path).cloned();
-        if got.is_some() {
-            inner.order.retain(|p| p != path);
-            inner.order.push_back(path.to_string());
-        }
-        got
+    pub fn peek(&self, path: &str) -> Option<Arc<str>> {
+        self.inner.lock().expect("poisoned").touch(path)
     }
 
     /// Inserts (or refreshes) an entry, evicting the least recently used
     /// one when full.
-    pub fn insert(&self, path: &str, content: String) {
+    pub fn insert(&self, path: &str, content: Arc<str>) {
         let mut inner = self.inner.lock().expect("poisoned");
-        if inner.entries.insert(path.to_string(), content).is_none() {
-            while inner.entries.len() > self.capacity {
-                let Some(evict) = inner.order.pop_front() else {
-                    break;
-                };
-                inner.entries.remove(&evict);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            inner.order.retain(|p| p != path);
+        if let Some((old, _)) = inner.entries.get_mut(path) {
+            *old = content;
+            inner.touch(path);
+            return;
         }
-        inner.order.push_back(path.to_string());
+        while inner.entries.len() >= self.capacity {
+            let Some((_, evict)) = inner.order.pop_first() else {
+                break;
+            };
+            inner.entries.remove(&evict);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        inner.clock += 1;
+        let stamp = inner.clock;
+        inner.order.insert(stamp, path.to_string());
+        inner.entries.insert(path.to_string(), (content, stamp));
     }
 
     /// Drops `path` from the cache, counting it as an eviction. Returns
@@ -271,12 +288,12 @@ impl BufferCache {
     /// a mutated file must not keep serving its stale cached bytes.
     pub fn invalidate(&self, path: &str) -> bool {
         let mut inner = self.inner.lock().expect("poisoned");
-        let present = inner.entries.remove(path).is_some();
-        if present {
-            inner.order.retain(|p| p != path);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        present
+        let Some((_, stamp)) = inner.entries.remove(path) else {
+            return false;
+        };
+        inner.order.remove(&stamp);
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Entries currently cached.
@@ -315,7 +332,8 @@ struct ReadJob {
 /// threads absorbs the simulated device latency (each helper is one
 /// outstanding "disk operation", so the pool size is the device queue
 /// depth), inserting what it read into the shared [`BufferCache`] before
-/// posting the completion. Cached paths complete without a helper trip.
+/// posting the completion and notifying the owner's [`Wake`]. Cached
+/// paths complete without a helper trip.
 pub struct AsyncFs {
     fs: Arc<SimFs>,
     cache: Arc<BufferCache>,
@@ -340,6 +358,17 @@ impl AsyncFs {
     /// Wraps `fs` with `helpers` helper threads and a buffer cache of
     /// `cache_entries` entries.
     pub fn new(fs: SimFs, helpers: usize, cache_entries: usize) -> AsyncFs {
+        AsyncFs::with_wake(fs, helpers, cache_entries, Arc::new(Wake::new()))
+    }
+
+    /// As [`AsyncFs::new`], with every helper completion notifying
+    /// `wake` — the event loop's worker wake.
+    pub(crate) fn with_wake(
+        fs: SimFs,
+        helpers: usize,
+        cache_entries: usize,
+        wake: Arc<Wake>,
+    ) -> AsyncFs {
         let fs = Arc::new(fs);
         let cache = Arc::new(BufferCache::new(cache_entries));
         let completions: Arc<Mutex<Vec<ReadCompletion>>> = Arc::new(Mutex::new(Vec::new()));
@@ -353,6 +382,7 @@ impl AsyncFs {
                 let completions = Arc::clone(&completions);
                 let in_flight = Arc::clone(&in_flight);
                 let rx = Arc::clone(&rx);
+                let wake = Arc::clone(&wake);
                 std::thread::Builder::new()
                     .name(format!("flashed-helper-{i}"))
                     .spawn(move || loop {
@@ -361,9 +391,9 @@ impl AsyncFs {
                         // The device wait happens here, off the event
                         // loop — this sleep is the helper's whole reason
                         // to exist.
-                        let content = fs.read(&job.path);
+                        let content: Option<Arc<str>> = fs.read(&job.path).map(Arc::from);
                         if let Some(c) = &content {
-                            cache.insert(&job.path, c.clone());
+                            cache.insert(&job.path, Arc::clone(c));
                         }
                         completions.lock().expect("poisoned").push(ReadCompletion {
                             ticket: job.ticket,
@@ -371,6 +401,7 @@ impl AsyncFs {
                             content,
                         });
                         in_flight.fetch_sub(1, Ordering::Release);
+                        wake.notify();
                     })
                     .expect("spawn helper")
             })
@@ -387,9 +418,9 @@ impl AsyncFs {
     }
 
     /// Submits a read and returns its ticket immediately. A cached path
-    /// completes at once (its completion is already queued when this
-    /// returns); anything else goes to the helper pool. The cache lookup
-    /// counts as a hit or miss either way.
+    /// completes at once (its completion, sharing the cached bytes, is
+    /// already queued when this returns); anything else goes to the
+    /// helper pool. The cache lookup counts as a hit or miss either way.
     pub fn submit(&self, path: &str) -> ReadTicket {
         let ticket = ReadTicket(self.next_ticket.fetch_add(1, Ordering::Relaxed) + 1);
         if let Some(content) = self.cache.lookup(path) {
@@ -517,6 +548,38 @@ mod tests {
         // peek finds entries without counting.
         assert_eq!(c.peek("/a").as_deref(), Some("A"));
         assert_eq!(c.hits() + c.misses(), 4);
+    }
+
+    #[test]
+    fn buffer_cache_evicts_in_recency_order() {
+        let c = BufferCache::new(3);
+        for p in ["/a", "/b", "/c"] {
+            c.insert(p, p.into());
+        }
+        // Recency after these: /c, /a, /b (least recent first) — a peek
+        // and a refreshing insert both count as a use.
+        assert!(c.peek("/a").is_some());
+        c.insert("/b", "B2".into());
+        c.insert("/d", "D".into());
+        assert!(c.peek("/c").is_none(), "/c was least recently used");
+        c.insert("/e", "E".into());
+        assert!(c.peek("/a").is_none(), "/a went next");
+        assert_eq!(c.peek("/b").as_deref(), Some("B2"));
+        // An invalidation frees a slot without evicting anything else.
+        assert!(c.invalidate("/d"));
+        c.insert("/f", "F".into());
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.evictions(), 3);
+        // Recency now: /e, /b, /f — so /g evicts /e, then /h evicts /b.
+        c.insert("/g", "G".into());
+        assert!(c.peek("/e").is_none());
+        c.insert("/h", "H".into());
+        assert!(c.peek("/b").is_none());
+        for p in ["/f", "/g", "/h"] {
+            assert!(c.peek(p).is_some(), "{p} survives");
+        }
+        assert_eq!(c.evictions(), 5);
+        assert_eq!(c.hits() + c.misses(), 0, "peek never counts");
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use dsu_core::{FleetUpdateReport, Patch, UpdateReport};
 use dsu_obs::{json, Journal, Stage};
 
-use crate::fleet::{Fleet, FleetError};
+use crate::fleet::{baseline, Fleet, FleetError};
 use crate::guard::{
     windowed_quantile, BreachAction, ErrorRateWindow, HealthBreach, HealthGate, PauseSlo,
     RolloutOutcome, RolloutReportCard, StepHealth,
@@ -892,11 +892,7 @@ impl Run<'_, '_> {
                         // withdrawal ahead of the re-drive below.
                         remotes[mi].cancel_pending("withdrawn after supervised restart");
                         let remote = w.remote();
-                        base = (
-                            remote.applied_count(),
-                            remote.failure_count(),
-                            remote.pauses().len(),
-                        );
+                        base = baseline(&remote);
                         self.baselines[fi][li] = base;
                         marks[mi] = self.step_marks(gid);
                         epoch0 = w.epoch();
@@ -929,9 +925,10 @@ impl Run<'_, '_> {
                 // pushes the pause after the op drains); wait for the
                 // event so the gate never judges a step pauseless.
                 let deadline = Instant::now() + fleet.deadline();
-                while w.remote().pauses().len() <= base.2 && Instant::now() < deadline {
-                    thread::sleep(Duration::from_micros(50));
-                }
+                let remote = w.remote();
+                remote
+                    .outcomes()
+                    .wait_for(Some(deadline), || remote.pause_count() > base.2);
             }
             let pauses: Vec<Duration> = w
                 .remote()
@@ -1014,11 +1011,7 @@ impl Run<'_, '_> {
             let fleet = &orch.fleets[fi];
             let w = &fleet.workers()[li];
             let remote = w.remote();
-            let base = (
-                remote.applied_count(),
-                remote.failure_count(),
-                remote.pauses().len(),
-            );
+            let base = baseline(&remote);
             let epoch0 = w.epoch();
             match inverse {
                 Some(p) => remote.enqueue_rollback(p.clone()),
@@ -1079,11 +1072,7 @@ impl Run<'_, '_> {
             if !reachable {
                 continue;
             }
-            let base = (
-                remote.applied_count(),
-                remote.failure_count(),
-                remote.pauses().len(),
-            );
+            let base = baseline(&remote);
             let epoch0 = w.epoch();
             let queued = remote.enqueue_rollback_chain(hops);
             let applied0 = base.0;

@@ -25,6 +25,10 @@
 //!   remain safe: before a patch binds, the updater's drain hook waits for
 //!   every parked read, and that wait is charged to the report's (and
 //!   journal's) `drain` phase.
+//!
+//! Every wait in this module blocks on the worker's [`Wake`]: its inbox
+//! (or the shared ingress queue), its read helpers and its patch queue
+//! all notify that one wake, so nothing here sleeps to poll.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -32,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dsu_core::{Patch, PauseLog, RunError, Updater};
+use dsu_core::{Patch, PauseLog, RunError, Updater, Wake};
 use dsu_obs::trace::{Span, SpanKind};
 use tal::{FnSig, Ty};
 use vm::{LinkMode, Process, Value};
@@ -180,6 +184,13 @@ pub struct ServerShared {
     completions: Arc<Mutex<Vec<Completion>>>,
     logs: Arc<Mutex<Vec<String>>>,
     started: Instant,
+    /// Notified by every [`ServerShared::push_requests`]: the edge
+    /// acceptor blocks on it, and so do shared-queue workers (it is their
+    /// worker wake).
+    ingress: Arc<Wake>,
+    /// Notified by every completion and by the acceptor emptying the
+    /// ingress queue: what [`crate::Fleet::drain`] waits on.
+    progress: Arc<Wake>,
 }
 
 impl Default for ServerShared {
@@ -208,6 +219,8 @@ impl ServerShared {
             completions: Arc::new(Mutex::new(Vec::new())),
             logs: Arc::new(Mutex::new(Vec::new())),
             started: Instant::now(),
+            ingress: Arc::new(Wake::new()),
+            progress: Arc::new(Wake::new()),
         }
     }
 
@@ -217,6 +230,17 @@ impl ServerShared {
         I: IntoIterator<Item = String>,
     {
         self.queue.lock().expect("poisoned").extend(requests);
+        self.ingress.notify();
+    }
+
+    /// The wake [`ServerShared::push_requests`] notifies.
+    pub(crate) fn ingress_wake(&self) -> &Arc<Wake> {
+        &self.ingress
+    }
+
+    /// The wake every completion notifies.
+    pub(crate) fn progress_wake(&self) -> &Arc<Wake> {
+        &self.progress
     }
 
     /// Requests currently waiting in the queue.
@@ -261,6 +285,7 @@ impl ServerShared {
     /// while drain accounting still counts it.
     pub(crate) fn push_completion(&self, completion: Completion) {
         self.completions.lock().expect("poisoned").push(completion);
+        self.progress.notify();
     }
 }
 
@@ -282,6 +307,9 @@ struct Admitted {
     /// Time the request sat in a routed edge inbox before admission
     /// (zero for shared-queue arrivals).
     queue_wait: Duration,
+    /// Pause-log length at admission: later pauses fall inside this
+    /// request (see [`PullRec::pauses_at`]).
+    pauses_at: usize,
 }
 
 /// One outstanding pull awaiting its response, with the lifecycle
@@ -300,10 +328,15 @@ struct PullRec {
     /// Time the request sat in a routed edge inbox before its pull
     /// (zero for shared-queue arrivals).
     queue_wait: Duration,
+    /// Pause-log length at the pull instant `t0`. Pulls and pauses run
+    /// on the one worker thread, so exactly the pauses logged after this
+    /// index began after `t0`: the response sums only those.
+    pauses_at: usize,
 }
 
-/// Host-side state of one event-loop server: the async filesystem, the
-/// parked-request table, and the ready queue the guest drains.
+/// Host-side state of one event-loop server: the async filesystem (its
+/// helpers notify the worker's wake), the parked-request table, and the
+/// ready queue the guest drains.
 struct EventState {
     afs: AsyncFs,
     cfg: EventLoopConfig,
@@ -484,6 +517,9 @@ pub struct Server {
     fs: Arc<SimFs>,
     /// Injected misbehaviour, shared with the updater's drain hook.
     fault: Arc<Mutex<FaultPlan>>,
+    /// The wake this server's request source, read helpers and patch
+    /// queue notify (see [`Server::wake`]).
+    wake: Arc<Wake>,
 }
 
 impl fmt::Debug for Server {
@@ -529,7 +565,15 @@ impl Server {
         let module = popcorn::compile(src, "flashed", version, &popcorn::Interface::new())
             .map_err(BootError::Compile)?;
         let mut proc = Process::new(mode);
-        let updater = Updater::new();
+        // The one wake this server's worker blocks on: its request source
+        // notifies it on every push, its read helpers on every completion,
+        // its updater's remotes on every enqueue.
+        let wake = match &inbox {
+            Some(inbox) => Arc::clone(inbox.wake()),
+            None => Arc::clone(&shared.ingress),
+        };
+        let mut updater = Updater::new();
+        updater.set_wake(Arc::clone(&wake));
         if let Some(tel) = &telemetry {
             updater.set_journal(tel.journal().clone(), tel.worker());
             if let Some(tr) = tel.tracer() {
@@ -542,7 +586,12 @@ impl Server {
         let event = match serve_mode {
             ServeMode::Blocking => None,
             ServeMode::EventLoop(cfg) => Some(Arc::new(EventState {
-                afs: AsyncFs::new((*fs).clone(), cfg.helpers, cfg.cache_entries),
+                afs: AsyncFs::with_wake(
+                    (*fs).clone(),
+                    cfg.helpers,
+                    cfg.cache_entries,
+                    Arc::clone(&wake),
+                ),
                 cfg,
                 parked: Mutex::new(HashMap::new()),
                 ready: Mutex::new(VecDeque::new()),
@@ -558,15 +607,14 @@ impl Server {
         {
             let fault = Arc::clone(&fault);
             let ev = event.clone();
+            let wake = Arc::clone(&wake);
             updater.set_drain_hook(Box::new(move || {
                 if let Some(ev) = &ev {
-                    loop {
+                    // Every parked read's helper notifies on completion.
+                    wake.wait_for(None, || {
                         ev.reap();
-                        if ev.parked.lock().expect("poisoned").is_empty() {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_micros(20));
-                    }
+                        ev.parked.lock().expect("poisoned").is_empty()
+                    });
                 }
                 let plan = *fault.lock().expect("poisoned");
                 plan.sleep();
@@ -613,9 +661,9 @@ impl Server {
                         Some(ev) => match ev.afs.cache().peek(&path) {
                             Some(content) => Ok(Value::str(&content)),
                             None => {
-                                let content = read_or_count(&fs, &path);
-                                ev.afs.cache().insert(&path, content.clone());
-                                Ok(Value::str(&content))
+                                let content: Arc<str> = read_or_count(&fs, &path).into();
+                                ev.afs.cache().insert(&path, Arc::clone(&content));
+                                Ok(Value::str(content))
                             }
                         },
                         None => Ok(Value::str(read_or_count(&fs, &path))),
@@ -646,6 +694,7 @@ impl Server {
             let event = event.clone();
             let tel = telemetry.clone();
             let inbox = inbox.clone();
+            let pauses: PauseLog = updater.pause_log();
             proc.register_host(
                 "next_request",
                 FnSig::new(vec![], Ty::Str),
@@ -664,6 +713,7 @@ impl Server {
                                     reaped: r.reaped,
                                     guest_at: Instant::now(),
                                     queue_wait: r.queue_wait,
+                                    pauses_at: r.pauses_at,
                                 });
                                 Ok(Value::str(&r.request))
                             }
@@ -706,6 +756,7 @@ impl Server {
                                 reaped: None,
                                 guest_at: now,
                                 queue_wait,
+                                pauses_at: pauses.lock().expect("poisoned").len(),
                             });
                             Ok(Value::str(&req))
                         }
@@ -716,6 +767,7 @@ impl Server {
         }
         {
             let completions = Arc::clone(&shared.completions);
+            let progress = Arc::clone(&shared.progress);
             let outstanding = Arc::clone(&outstanding);
             let pauses: PauseLog = updater.pause_log();
             let tel = telemetry.clone();
@@ -729,14 +781,16 @@ impl Server {
                             let raw = r.t0.elapsed();
                             // Suspensions at update points between this
                             // request's pull and its response are update
-                            // pause, not service time.
-                            let pause: Duration = pauses
-                                .lock()
-                                .expect("poisoned")
+                            // pause, not service time: the pauses logged
+                            // since the pull.
+                            let log = pauses.lock().expect("poisoned");
+                            let pause: Duration = log
+                                .get(r.pauses_at..)
+                                .unwrap_or_default()
                                 .iter()
-                                .filter(|ev| ev.at >= r.t0)
                                 .map(|ev| ev.dur)
                                 .sum();
+                            drop(log);
                             (raw.saturating_sub(pause), pause, r.queue_wait, Some(r.id))
                         }
                         None => (Duration::ZERO, Duration::ZERO, Duration::ZERO, None),
@@ -762,6 +816,7 @@ impl Server {
                         request_id,
                         response: args[0].as_str().to_string(),
                     });
+                    progress.notify();
                     Ok(Value::Unit)
                 }),
             );
@@ -792,6 +847,7 @@ impl Server {
             inbox,
             fs,
             fault,
+            wake,
         })
     }
 
@@ -835,6 +891,7 @@ impl Server {
     fn serve_event(&mut self, ev: &Arc<EventState>) -> Result<i64, RunError> {
         let mut served = 0i64;
         loop {
+            let seen = self.wake.epoch();
             self.admit(ev);
             ev.reap();
             let have_ready = !ev.ready.lock().expect("poisoned").is_empty();
@@ -867,8 +924,9 @@ impl Server {
                 break;
             }
             if !have_ready {
-                // Nothing ready yet: wait briefly for helper completions.
-                std::thread::sleep(Duration::from_micros(20));
+                // Nothing ready yet: block until a helper completes, a
+                // request arrives or a patch is queued.
+                self.wake.wait(seen, None);
             }
         }
         self.publish_telemetry();
@@ -880,6 +938,8 @@ impl Server {
     /// device read are parked on their ticket; the rest go straight to
     /// `ready`.
     fn admit(&mut self, ev: &Arc<EventState>) {
+        // Pauses run on this thread, so the count cannot move mid-admit.
+        let pauses_at = self.updater.pause_count();
         loop {
             if ev.parked.lock().expect("poisoned").len() >= ev.cfg.max_in_flight {
                 return;
@@ -914,6 +974,7 @@ impl Server {
                 submitted: None,
                 reaped: None,
                 queue_wait,
+                pauses_at,
             };
             match prefetch_path(&entry.request, ev.afs.fs()) {
                 // No device read will happen (400/404): ready now.
@@ -1046,11 +1107,19 @@ impl Server {
                 ev.afs.in_flight(),
             );
         }
-        let pauses = self.updater.pauses();
+        let log = self.updater.pause_log();
+        let pauses = log.lock().expect("poisoned");
         for p in &pauses[self.pauses_seen..] {
             tel.record_update_pause(p.dur);
         }
         self.pauses_seen = pauses.len();
+    }
+
+    /// The wake this server's worker blocks on while idle: its request
+    /// source (edge inbox or shared ingress queue), its read helpers and
+    /// its updater's remotes all notify it.
+    pub(crate) fn wake(&self) -> &Arc<Wake> {
+        &self.wake
     }
 
     /// The shared state this server serves from (clone to share the queue

@@ -1,9 +1,12 @@
 //! Multi-worker fleet behaviour: sharding, coordinated rollouts, and
 //! partial-failure handling.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use flashed::{patch_stream, versions, Fleet, FleetConfig, RolloutPlan, SimFs, Workload};
+use flashed::{
+    parse_response, patch_stream, versions, EdgeConfig, EventLoopConfig, Fleet, FleetConfig,
+    RolloutPlan, RoutePolicy, ServeMode, SimFs, Workload,
+};
 
 fn fixture() -> (SimFs, Workload) {
     let fs = SimFs::generate_fixed(16, 256, 7);
@@ -162,5 +165,39 @@ fn one_failing_worker_does_not_stop_the_fleet_rolling_forward() {
     fleet.push_requests(wl.batch(300));
     fleet.drain(300).unwrap();
     assert_eq!(fleet.completions().len(), 300);
+    fleet.shutdown().unwrap();
+}
+
+#[test]
+fn idle_edge_worker_wakes_for_a_lone_request_and_a_patch() {
+    let (fs, _) = fixture();
+    let cfg = FleetConfig::new(2)
+        .serve_mode(ServeMode::EventLoop(EventLoopConfig::default()))
+        .with_edge(EdgeConfig::new(RoutePolicy::RoundRobin));
+    let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
+    // No traffic behind the request and nothing that polls: a lost
+    // wakeup leaves the worker parked and the waits below run into
+    // their deadline.
+    let worker = fleet
+        .edge()
+        .unwrap()
+        .submit(format!("GET {} HTTP/1.0", fs.paths()[0]))
+        .unwrap();
+    fleet.drain(1).unwrap();
+    let done = fleet.completions();
+    assert_eq!(done.len(), 1);
+    assert!(done[0].pulled);
+    assert_eq!(parse_response(&done[0].response).unwrap().status, 200);
+
+    // The worker is idle again; a patch enqueued on it applies at its
+    // next quiescent boundary, which the enqueue itself wakes it for.
+    let remote = fleet.remote(worker);
+    remote.enqueue(patch_stream().unwrap()[0].patch.clone());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let applied = remote.outcomes().wait_for(Some(deadline), || {
+        remote.applied_count() == 1 && remote.pending_count() == 0
+    });
+    assert!(applied, "the idle worker never applied the patch");
+    assert_eq!(fleet.live_versions()[worker], "v2");
     fleet.shutdown().unwrap();
 }
