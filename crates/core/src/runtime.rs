@@ -12,8 +12,8 @@
 //! patches to a process it does not own, arm the process's update signal,
 //! and observe the resulting reports — the substrate of coordinated
 //! multi-worker rollouts. Both directions are event-driven: every remote
-//! enqueue notifies the worker's [`Wake`], and every published outcome
-//! (report, failure, pause, the end of an op's apply) notifies the
+//! enqueue notifies the worker's [`Wake`], and the end of every pause
+//! (its reports, failures and pause event published) notifies the
 //! updater's outcome wake a coordinator waits on.
 
 use std::collections::VecDeque;
@@ -158,7 +158,7 @@ pub struct Updater {
     pending: Arc<Mutex<VecDeque<QueuedOp>>>,
     /// Ops popped off `pending` whose outcome (report or failure) is not
     /// published yet — i.e. mid-apply. Shared with remotes and counted
-    /// into [`Updater::pending_count`], so a coordinator polling
+    /// into [`Updater::pending_count`], so a coordinator checking
     /// "pending == 0 and the counts moved" can never observe the window
     /// where an op is out of the queue but its result is invisible.
     in_flight: Arc<AtomicUsize>,
@@ -201,9 +201,11 @@ pub struct Updater {
     /// wait for several sources install their own with
     /// [`Updater::set_wake`].
     wake: Arc<Wake>,
-    /// Notified whenever an outcome is published (report, failure,
-    /// pause, an op leaving the in-flight count) — what a coordinator
-    /// awaiting this worker waits on (see [`UpdaterRemote::outcomes`]).
+    /// Notified at the end of every pause, once its reports, failures
+    /// and pause event are published, and by every cancel — what a
+    /// coordinator awaiting this worker waits on (see
+    /// [`UpdaterRemote::outcomes`]). Not inside the pause: a coordinator
+    /// woken mid-pause would only compete with the pause for a CPU.
     outcomes: Arc<Wake>,
     /// When `true` (default), a patch failure during a run aborts the run
     /// with [`RunError::Update`] instead of continuing on the old version.
@@ -660,6 +662,9 @@ impl Updater {
             at: began,
             dur: began.elapsed(),
         });
+        // Every op this pause took is now published and out of the
+        // in-flight count (a panic mid-apply never gets here; the
+        // supervisor wakes coordinators for a dead worker instead).
         self.outcomes.notify();
         result
     }
@@ -690,7 +695,7 @@ impl Updater {
                 let Some(queued) = pending.pop_front() else {
                     break;
                 };
-                (queued, InFlightGuard::arm(&self.in_flight, &self.outcomes))
+                (queued, InFlightGuard::arm(&self.in_flight))
             };
             let op_began = Instant::now();
             let mut phase_log = span_ctx.as_ref().map(|_| PhaseSpanLog::default());
@@ -882,22 +887,19 @@ impl Updater {
 
 /// Holds one mid-apply op inside [`Updater::pending_count`] from its pop
 /// off the queue until its outcome is published (normally, on an early
-/// strict-mode return, or during a panic unwind alike). The drop
-/// notifies the outcome wake: the op's report or failure is visible and
-/// it no longer counts as pending.
-struct InFlightGuard(Arc<AtomicUsize>, Arc<Wake>);
+/// strict-mode return, or during a panic unwind alike).
+struct InFlightGuard(Arc<AtomicUsize>);
 
 impl InFlightGuard {
-    fn arm(count: &Arc<AtomicUsize>, outcomes: &Arc<Wake>) -> InFlightGuard {
+    fn arm(count: &Arc<AtomicUsize>) -> InFlightGuard {
         count.fetch_add(1, Ordering::SeqCst);
-        InFlightGuard(Arc::clone(count), Arc::clone(outcomes))
+        InFlightGuard(Arc::clone(count))
     }
 }
 
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
-        self.1.notify();
     }
 }
 
@@ -1341,7 +1343,7 @@ impl UpdaterRemote {
     /// currently mid-apply, if any. Zero means every submitted op's
     /// outcome is visible through [`UpdaterRemote::reports`] /
     /// [`UpdaterRemote::failures`] — the invariant coordinators lean on
-    /// when they poll "counts moved and nothing pending".
+    /// when they wait for "counts moved and nothing pending".
     pub fn pending_count(&self) -> usize {
         self.pending.lock().expect("poisoned").len() + self.in_flight.load(Ordering::SeqCst)
     }
@@ -1377,10 +1379,10 @@ impl UpdaterRemote {
         self.pauses.lock().expect("poisoned").len()
     }
 
-    /// The wake notified whenever this worker publishes an outcome: a
-    /// report, a failure, a pause, an op leaving the in-flight count, a
-    /// cancel. A coordinator reads its epoch, checks the counts, and
-    /// waits on it instead of polling.
+    /// The wake notified at the end of every pause of this worker (its
+    /// reports, failures and pause event published, its ops out of the
+    /// in-flight count) and by every cancel. A coordinator reads its
+    /// epoch, checks the counts, and waits on it instead of polling.
     pub fn outcomes(&self) -> &Wake {
         &self.outcomes
     }

@@ -299,3 +299,47 @@ fn pending_count_zero_means_every_outcome_is_visible() {
     );
     assert_eq!(up.failures().len(), CYCLES);
 }
+
+#[test]
+fn an_op_queued_mid_pause_waits_for_the_next_pause_and_its_gate() {
+    let mut p = boot(SPIN);
+    let mut up = Updater::new();
+    let v2_src = SPIN.replace("n = n + 1", "n = n + 10");
+    let v3_src = SPIN.replace("n = n + 1", "n = n + 100");
+    let p12 = PatchGen::new()
+        .generate(SPIN, &v2_src, "v1", "v2")
+        .unwrap()
+        .patch;
+    let p23 = PatchGen::new()
+        .generate(&v2_src, &v3_src, "v2", "v3")
+        .unwrap()
+        .patch;
+    // A coordinator acting while the first pause runs (here: from inside
+    // that pause's gate) queues the next op together with its own gate.
+    let remote = up.remote(&p);
+    let second_gate_ran = Arc::new(AtomicBool::new(false));
+    {
+        let (late, flag) = (remote.clone(), Arc::clone(&second_gate_ran));
+        remote.set_gate(Box::new(move || {
+            late.set_gate(Box::new(move || flag.store(true, Ordering::SeqCst)));
+            late.enqueue(p23);
+        }));
+    }
+    up.enqueue(&mut p, p12);
+
+    // The first pause applies only what was queued when it began; the
+    // late op stays queued with the update request armed.
+    assert_eq!(up.apply_pending(&mut p).unwrap(), 1);
+    assert_eq!(up.pending_count(), 1);
+    assert!(p.update_requested());
+    assert!(!second_gate_ran.load(Ordering::SeqCst));
+
+    // The next pause runs the gate set with the late op, then applies it.
+    assert_eq!(up.apply_pending(&mut p).unwrap(), 1);
+    assert!(second_gate_ran.load(Ordering::SeqCst));
+    assert_eq!(up.pending_count(), 0);
+    assert!(!p.update_requested());
+    let hops: Vec<String> = up.log().iter().map(|r| r.to_version.clone()).collect();
+    assert_eq!(hops, ["v2", "v3"]);
+    assert_eq!(up.pauses().len(), 2);
+}

@@ -705,11 +705,11 @@ impl Edge {
         let stop = Arc::new(AtomicBool::new(false));
         let ingress = Arc::clone(edge.shared.ingress_wake());
         let edge = Arc::clone(edge);
-        let (stop_t, ingress_t) = (Arc::clone(&stop), Arc::clone(&ingress));
+        let stop_t = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name("flashed-acceptor".to_string())
             .spawn(move || {
-                let ingress = ingress_t;
+                let ingress = edge.shared.ingress_wake();
                 let mut routed: u64 = 0;
                 loop {
                     let seen = ingress.epoch();
