@@ -207,6 +207,9 @@ pub struct Updater {
     /// [`UpdaterRemote::outcomes`]). Not inside the pause: a coordinator
     /// woken mid-pause would only compete with the pause for a CPU.
     outcomes: Arc<Wake>,
+    /// Where [`Updater::save_worker_state`] is stored at the end of every
+    /// pause (see [`Updater::set_state_slot`]); `None` stores nothing.
+    state_slot: Option<Arc<Mutex<Option<String>>>>,
     /// When `true` (default), a patch failure during a run aborts the run
     /// with [`RunError::Update`] instead of continuing on the old version.
     pub strict: bool,
@@ -283,6 +286,16 @@ impl Updater {
     /// handing out remotes.
     pub fn set_wake(&mut self, wake: Arc<Wake>) {
         self.wake = wake;
+    }
+
+    /// Stores [`Updater::save_worker_state`] into `slot` now and again at
+    /// the end of every pause, before the outcome wake is notified. A
+    /// coordinator that has heard of a pause's outcome can then rely on
+    /// the slot: a crash from there on replays that pause, and an op it
+    /// enqueues afterwards is never re-queued by the replay as well.
+    pub fn set_state_slot(&mut self, slot: Arc<Mutex<Option<String>>>) {
+        *slot.lock().expect("poisoned") = Some(self.save_worker_state());
+        self.state_slot = Some(slot);
     }
 
     /// The attached journal, if any.
@@ -662,8 +675,11 @@ impl Updater {
             at: began,
             dur: began.elapsed(),
         });
-        // Every op this pause took is now published and out of the
-        // in-flight count (a panic mid-apply never gets here; the
+        if let Some(slot) = &self.state_slot {
+            *slot.lock().expect("poisoned") = Some(self.save_worker_state());
+        }
+        // Every op this pause took is now published, persisted and out of
+        // the in-flight count (a panic mid-apply never gets here; the
         // supervisor wakes coordinators for a dead worker instead).
         self.outcomes.notify();
         result

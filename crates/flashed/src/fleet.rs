@@ -466,7 +466,7 @@ struct WorkerLinks {
     /// incarnation).
     heartbeat: Arc<AtomicU64>,
     /// The worker's persisted crash-durable state (replay chain +
-    /// snapshot ring + pending ops), refreshed at quiescent boundaries.
+    /// snapshot ring + pending ops), refreshed at the end of every pause.
     state: Arc<Mutex<Option<String>>>,
     /// How long this incarnation spent replaying persisted state at boot
     /// (zero for a first boot).
@@ -1370,11 +1370,6 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                     *w.seat.lock().expect("poisoned") = seat;
                     w.restarts.fetch_add(1, Ordering::SeqCst);
                     w.up.store(true, Ordering::SeqCst);
-                    // Epoch bump last: an await that sees the new epoch
-                    // must also see the new seat. Awaits block on the dead
-                    // incarnation's outcome wake.
-                    w.epoch.fetch_add(1, Ordering::SeqCst);
-                    old_links.remote.outcomes().notify();
                     if let Some(t) = &state.spec.telemetry {
                         t.set_worker_up(w.id, true);
                         t.record_worker_restart();
@@ -1404,6 +1399,11 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                             rerouted,
                             total: detect_began.elapsed(),
                         });
+                    // Epoch bump last: an await that sees the new epoch
+                    // must also see the new seat and the restart report.
+                    // Awaits block on the dead incarnation's outcome wake.
+                    w.epoch.fetch_add(1, Ordering::SeqCst);
+                    old_links.remote.outcomes().notify();
                 }
                 Err(_) => {
                     // Seat stays reaped (`join` is `None`); the next sweep
@@ -1443,28 +1443,15 @@ fn restore_worker(server: &mut Server, blob: &str, boot_version: &str) -> Result
     Ok(version)
 }
 
-/// How far a worker's apply history has moved — the trigger for
-/// re-persisting its crash-durable state.
-fn history_mark(server: &Server) -> (usize, usize) {
-    (
-        server.updater.applied_count(),
-        server.updater.failure_count(),
-    )
-}
-
-/// Persists the worker's crash-durable state (net patch chain + snapshot
-/// ring + pending ops) into the supervisor-visible slot.
-fn persist_state(server: &Server, slot: &Mutex<Option<String>>) {
-    *slot.lock().expect("poisoned") = Some(server.updater.save_worker_state());
-}
-
 /// One worker: boots its own server against the shared state, then serves
 /// until told to stop, applying patches fed through its remote at update
 /// points (busy) or quiescent boundaries (idle). A respawned worker first
-/// replays its persisted state back to its pre-crash version. Each loop
-/// iteration bumps the heartbeat, re-persists state when the apply
-/// history moved, and passes the injectable crash seams; with nothing
-/// served and nothing applied, it blocks on the server's wake.
+/// replays its persisted state back to its pre-crash version; from then
+/// on its updater persists crash-durable state (net patch chain +
+/// snapshot ring + pending ops) into the supervisor-visible slot at the
+/// end of every pause. Each loop iteration bumps the heartbeat and
+/// passes the injectable crash seams; with nothing served and nothing
+/// applied, it blocks on the server's wake.
 fn worker_main(
     ctx: WorkerCtx,
     stop: &AtomicBool,
@@ -1521,8 +1508,7 @@ fn worker_main(
     if boot_tx.send(Ok(info)).is_err() {
         return Ok(0); // coordinator went away before boot finished
     }
-    persist_state(&server, &ctx.state_slot);
-    let mut persisted = history_mark(&server);
+    server.updater.set_state_slot(Arc::clone(&ctx.state_slot));
 
     // Lands the collapsed-stack VM profile (when armed) in the worker's
     // telemetry slot on the way out, success or failure.
@@ -1536,14 +1522,8 @@ fn worker_main(
         // on makes the idle wait below return at once.
         let seen = wake.epoch();
         ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
-        // Quiescent boundary: re-persist crash-durable state whenever the
-        // apply history moved since the last persist.
-        let mark = history_mark(&server);
-        if mark != persisted {
-            persist_state(&server, &ctx.state_slot);
-            persisted = mark;
-        }
-        if mark.0 > soak_base {
+        let applied = server.updater.applied_count();
+        if applied > soak_base {
             crash_if_armed(&fault, CrashPoint::MidSoak);
         }
         crash_if_armed(&fault, CrashPoint::Serving);
@@ -1562,8 +1542,8 @@ fn worker_main(
         match server.serve() {
             // Idle: block until a request, a read completion, a patch, a
             // fault or the stop arrives. An apply this pass loops first,
-            // so the new history is persisted and the seams passed.
-            Ok(0) if history_mark(&server) == persisted => {
+            // so the mid-soak seam is passed.
+            Ok(0) if server.updater.applied_count() == applied => {
                 wake.wait(seen, None);
             }
             Ok(n) => total += n,
